@@ -1,7 +1,7 @@
 """Uplink simulator for user-centric cell-free massive MIMO with
 RIS-integrated antenna arrays."""
 
-from .association import Association, assign_pilots_and_clusters, selector_apply
+from .association import Association, assign_pilots_and_clusters
 from .config import SimConfig, load_config
 from .estimation import (
     EffectiveStats,
@@ -10,7 +10,6 @@ from .estimation import (
     error_covariance,
     mmse_estimate,
     pilot_gram,
-    received_pilot_statistic,
 )
 from .exceptions import (
     CfrisError,
@@ -27,7 +26,7 @@ from .experiment import (
     load_report,
     run_experiment,
 )
-from .linalg import HermitianEig, hermitian_eig, sample_complex_gaussian, solve_pd
+from .linalg import HermitianEig, hermitian_eig, sample_complex_gaussian
 from .network import (
     ChannelStats,
     NetworkRealization,

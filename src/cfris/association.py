@@ -10,11 +10,9 @@ claimant if one exists and otherwise the co-pilot UE with the largest
 large-scale coefficient; master relations are always kept.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import DimensionError
 
 
 @dataclass
@@ -22,9 +20,6 @@ class Association:
     pilot_of: np.ndarray          # (K,) pilot index per UE
     master_ap: np.ndarray         # (K,) master AP per UE
     serving_matrix: np.ndarray    # (L, K) bool, AP l serves UE k
-    copilot_sets: list = field(default_factory=list)   # P_k, includes k
-    serving_sets: list = field(default_factory=list)   # M_k
-    served_sets: list = field(default_factory=list)    # D_l
 
     @property
     def num_ues(self):
@@ -34,9 +29,19 @@ class Association:
     def num_aps(self):
         return self.serving_matrix.shape[0]
 
+    @property
+    def serving_sets(self):
+        """M_k: the serving APs of each UE, derived from serving_matrix."""
+        return [list(np.where(col)[0]) for col in self.serving_matrix.T]
+
+    @property
+    def served_sets(self):
+        """D_l: the UEs each AP serves, derived from serving_matrix."""
+        return [list(np.where(row)[0]) for row in self.serving_matrix]
+
     def pmmse_partners(self, k):
         """UEs sharing at least one serving AP with UE k (includes k)."""
-        rows = self.serving_matrix[self.serving_sets[k], :]
+        rows = self.serving_matrix[self.serving_matrix[:, k], :]
         return list(np.where(rows.any(axis=0))[0])
 
 
@@ -71,24 +76,4 @@ def assign_pilots_and_clusters(real, cfg):
                 serving[l, copilots[np.argmax(beta[copilots, l])]] = True
     serving[master, np.arange(K)] = True
 
-    copilot_sets = [list(np.where(pilot_of == pilot_of[k])[0]) for k in range(K)]
-    serving_sets = [list(np.where(serving[:, k])[0]) for k in range(K)]
-    served_sets = [list(np.where(serving[l, :])[0]) for l in range(L)]
-    return Association(pilot_of, master, serving, copilot_sets, serving_sets, served_sets)
-
-
-def selector_apply(assoc, k, x):
-    """Apply the block selector D_k to a stacked length-L*M vector.
-
-    Blocks belonging to serving APs pass through, all others are zeroed.
-    Idempotent by construction.
-    """
-    x = np.asarray(x)
-    L = assoc.num_aps
-    if x.shape[0] % L:
-        raise DimensionError(f"vector length {x.shape[0]} is not a multiple of L={L}")
-    m = x.shape[0] // L
-    out = np.zeros_like(x)
-    for l in assoc.serving_sets[k]:
-        out[l * m:(l + 1) * m] = x[l * m:(l + 1) * m]
-    return out
+    return Association(pilot_of, master, serving)

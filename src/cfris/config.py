@@ -4,6 +4,7 @@ All keys carry explicit units in their names (``noise_power_dbm``,
 ``pilot_power_mw``, ...). Linear-unit views are exposed as properties.
 """
 
+import math
 from dataclasses import dataclass, fields, asdict
 
 from .exceptions import ConfigError
@@ -12,6 +13,11 @@ SPEED_OF_LIGHT = 299792458.0
 
 # 12 wavelengths at 2 GHz; kept absolute so the box geometry is explicit.
 _DEFAULT_BOX_DEPTH_M = 12.0 * SPEED_OF_LIGHT / 2e9
+
+# A zero length or power puts log10(0) or a division by zero into the model.
+_POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "element_spacing",
+                    "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
+_NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db")
 
 
 @dataclass
@@ -24,7 +30,6 @@ class SimConfig:
     N: int = 36                     # RIS elements per AP
     area_side_m: float = 1000.0
     carrier_frequency_hz: float = 2e9
-    bandwidth_hz: float = 20e6
     noise_power_dbm: float = -94.0
     pilot_power_mw: float = 100.0
     data_power_mw: float = 100.0
@@ -36,7 +41,6 @@ class SimConfig:
     array_geometry: str = "linear"  # active array: "linear" or "planar"
     box_depth_m: float = _DEFAULT_BOX_DEPTH_M
     rician_los_fraction: float = 0.9
-    ap_ris_nlos_model: str = "iid-orthogonalized"
     angular_spread_deg: float = 15.0
     correlation_model: str = "local-scattering"  # or "white"
     shadowing_std_db: float = 4.0
@@ -65,6 +69,9 @@ class SimConfig:
 
     def validate(self):
         """Raise ConfigError naming the first offending field."""
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f.name, "must be finite")
         if self.K < 1:
             raise ConfigError("K", "need at least one UE")
         if self.L < 1:
@@ -77,30 +84,26 @@ class SimConfig:
             raise ConfigError("tau_p", "need at least one pilot sample")
         if self.tau_p >= self.tau_c:
             raise ConfigError("tau_p", "pilot length must be shorter than the coherence block")
-        if self.ris_rows * self.ris_cols != self.N:
-            raise ConfigError("ris_rows", "ris_rows * ris_cols must equal N")
+        if self.ris_rows < 1 or self.ris_rows * self.ris_cols != self.N:
+            raise ConfigError("ris_rows", "ris_rows and ris_cols must be positive with product N")
         if self.noise_power_w <= 0:
             raise ConfigError("noise_power_dbm", "noise power must be positive")
-        if self.pilot_power_mw <= 0:
-            raise ConfigError("pilot_power_mw", "pilot power must be positive")
-        if self.data_power_mw <= 0:
-            raise ConfigError("data_power_mw", "data power must be positive")
-        if self.box_depth_m <= 0:
-            raise ConfigError("box_depth_m", "array-RIS separation must be positive")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ConfigError(name, "must be positive")
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be non-negative")
         if not 0.0 <= self.rician_los_fraction <= 1.0:
             raise ConfigError("rician_los_fraction", "must lie in [0, 1]")
         if self.array_geometry not in ("linear", "planar"):
             raise ConfigError("array_geometry", "must be 'linear' or 'planar'")
         if self.correlation_model not in ("local-scattering", "white"):
             raise ConfigError("correlation_model", "must be 'local-scattering' or 'white'")
-        if self.ap_ris_nlos_model != "iid-orthogonalized":
-            raise ConfigError("ap_ris_nlos_model", "only 'iid-orthogonalized' is implemented")
         if self.mc_setups < 1:
             raise ConfigError("mc_setups", "need at least one network realization")
         if self.mc_channel_realizations < 1:
             raise ConfigError("mc_channel_realizations", "need at least one coherence block")
-        if self.area_side_m < 0:
-            raise ConfigError("area_side_m", "must be non-negative")
         return self
 
     def as_dict(self):
@@ -111,13 +114,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
 
 def _parse_value(name, raw):
-    ftype = _FIELD_TYPES[name]
     try:
-        if ftype == "int" or ftype is int:
-            return int(raw)
-        if ftype == "float" or ftype is float:
-            return float(raw)
-        return raw
+        return _FIELD_TYPES[name](raw)  # int, float or str
     except ValueError as exc:
         raise ConfigError(name, f"cannot parse {raw!r}") from exc
 

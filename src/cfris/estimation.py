@@ -36,22 +36,6 @@ def pilot_gram(copilot_Q, cfg):
     return g
 
 
-def received_pilot_statistic(copilot_channels, front, cfg, rng):
-    """Draw z_kl = sqrt(tau_p rho_p) sum_i E_l h_il + noise for one block.
-
-    copilot_channels is an (n_copilot, n) array of the channels of all UEs
-    sharing the pilot (including UE k itself).
-    """
-    channels = np.atleast_2d(np.asarray(copilot_channels, dtype=complex))
-    summed = channels.sum(axis=0)
-    eff = summed if front is None else front @ summed
-    m = eff.shape[0]
-    noise = np.sqrt(cfg.noise_power_w / 2.0) * (
-        rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    )
-    return np.sqrt(cfg.tau_p * cfg.pilot_power_w) * eff + noise
-
-
 def mmse_estimate(z_kl, R_kl, front, gram, cfg):
     """MMSE estimate sqrt(tau_p rho_p) R_kl E_l^H gram^{-1} z_kl."""
     m = gram.shape[0]

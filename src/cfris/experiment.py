@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import assign_pilots_and_clusters
+from .config import parse_config_text
 from .estimation import EffectiveStats, effective_front
+from .exceptions import ConfigError, ModelError
 from .network import (
     ChannelStats,
     active_array_positions,
@@ -53,6 +55,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown scenario {name!r}")
         if self.combiner not in ("pmmse", "mmse"):
             raise ValueError(f"unknown combiner {self.combiner!r}")
+        if self.threads < 1:
+            raise ConfigError("threads", "need at least one worker thread")
         return self
 
 
@@ -105,8 +109,8 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     eye = np.eye(m)
 
     per_ue = []
-    for k in range(K):
-        idx = np.asarray(assoc.serving_sets[k], dtype=int)
+    for k, serving in enumerate(assoc.serving_sets):
+        idx = np.asarray(serving, dtype=int)
         partners = (
             np.asarray(assoc.pmmse_partners(k), dtype=int)
             if combiner == "pmmse"
@@ -180,6 +184,9 @@ def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
             stats = EffectiveStats(r_grid, eff, assoc.pilot_of, cfg)
         rng_blocks = _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id)
         out[j] = block_batched_se(stats, assoc, cfg, rng_blocks, combiner=combiner)
+        bad = np.flatnonzero(~np.isfinite(out[j]))
+        if bad.size:
+            raise ModelError(f"setup {setup_idx}, scenario {name}: non-finite SE for UE {bad[0]}")
     return out
 
 
@@ -215,7 +222,9 @@ def emit_report(report, out_dir):
     """Write the sample CSV, one CDF CSV per scenario, and the manifest.
 
     Floats are serialized with repr, so parsing the files reproduces the
-    in-memory report exactly. Returns the list of written paths.
+    in-memory report exactly; the manifest is a config file that
+    load_config reads back into the same SimConfig. Returns the list of
+    written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -223,8 +232,7 @@ def emit_report(report, out_dir):
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
         for key, value in report.config.items():
-            handle.write(f"{key} = {value!r}\n")
-        handle.write(f"scenarios = {','.join(report.scenarios)}\n")
+            handle.write(f"{key} = {value}\n")
     paths.append(manifest_path)
 
     if report.scenarios:
@@ -252,32 +260,26 @@ def emit_report(report, out_dir):
 
 
 def load_report(out_dir):
-    """Rebuild a SeReport from an emitted output directory."""
-    config = {}
-    scenarios = []
+    """Rebuild a SeReport from an emitted output directory.
+
+    The manifest is a config file, so ``config`` holds typed values; the
+    scenarios are those of ``se_samples.csv`` in order of first appearance.
+    """
     with open(os.path.join(out_dir, "manifest.txt"), "r", encoding="utf-8") as handle:
-        for line in handle:
-            key, _, raw = line.partition(" = ")
-            raw = raw.strip()
-            if key == "scenarios":
-                scenarios = [s for s in raw.split(",") if s]
-            else:
-                config[key] = raw
-    if not scenarios:
+        config = parse_config_text(handle.read())
+    data_path = os.path.join(out_dir, "se_samples.csv")
+    if not os.path.exists(data_path):
         return SeReport(scenarios=[], se={}, config=config)
 
-    rows = {name: {} for name in scenarios}
-    with open(os.path.join(out_dir, "se_samples.csv"), "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            rows[row["scenario"]][(int(row["realization"]), int(row["ue"]))] = float(row["se"])
+    rows = {}
+    with open(data_path, "r", encoding="utf-8", newline="") as handle:
+        for row in csv.DictReader(handle):
+            rows.setdefault(row["scenario"], []).append(
+                (int(row["realization"]), int(row["ue"]), float(row["se"]))
+            )
     se = {}
-    for name in scenarios:
-        entries = rows[name]
-        setups = 1 + max(key[0] for key in entries)
-        ues = 1 + max(key[1] for key in entries)
-        arr = np.empty((setups, ues))
-        for (setup, ue), value in entries.items():
-            arr[setup, ue] = value
-        se[name] = arr
-    return SeReport(scenarios=scenarios, se=se, config=config)
+    for name, entries in rows.items():
+        setup, ue, value = zip(*entries)
+        se[name] = np.empty((1 + max(setup), 1 + max(ue)))
+        se[name][setup, ue] = value
+    return SeReport(scenarios=list(rows), se=se, config=config)

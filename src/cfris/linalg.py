@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, ModelError, SingularMatrixError
+from .exceptions import DimensionError, ModelError
 
 PSD_TOL = 1e-10         # relative (to trace) tolerance on negative eigenvalues
-PIVOT_TOL = 1e-14       # relative pivot threshold declaring singularity
 
 
 @dataclass
@@ -21,10 +20,6 @@ class HermitianEig:
 
     eigenvalues: np.ndarray   # real, shape (n,), sorted descending
     eigenvectors: np.ndarray  # orthonormal columns, shape (n, n)
-
-    def reconstruct(self):
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
 
 
 def hermitian_eig(a):
@@ -36,31 +31,6 @@ def hermitian_eig(a):
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     return HermitianEig(vals[order], vecs[:, order])
-
-
-def solve_pd(a, b):
-    """Solve A x = b for Hermitian positive-definite A via Cholesky.
-
-    Raises SingularMatrixError when a pivot falls below
-    PIVOT_TOL * trace(A) / dim.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"rhs length {b.shape[0]} does not match matrix dim {a.shape[0]}")
-    a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Cholesky factorization failed; matrix is not PD") from exc
-    threshold = PIVOT_TOL * np.real(np.trace(a)) / n
-    if np.min(np.real(np.diagonal(chol)) ** 2) < threshold:
-        raise SingularMatrixError("pivot below singularity threshold")
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.conj().T, y)
 
 
 def psd_sqrt(cov):
@@ -99,11 +69,3 @@ def sample_real_gaussian(cov, rng, size=None):
     shape = (n,) if size is None else (size, n)
     return rng.standard_normal(shape) @ root.T
 
-
-def min_relative_eigenvalue(a):
-    """min eigenvalue divided by trace; used in PSD assertions in tests."""
-    eig = hermitian_eig(a)
-    trace = np.real(np.trace(a))
-    if trace <= 0:
-        return float(np.min(eig.eigenvalues))
-    return float(np.min(eig.eigenvalues) / trace)

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import ConfigError
 from .linalg import sample_real_gaussian
 
 PATHLOSS_INTERCEPT_DB = -30.5
@@ -192,8 +191,6 @@ def build_ap_ris_channel(cfg, rng):
     is exactly one and the LOS power fraction is exactly alpha. With M = 1
     there is no orthogonal complement and the column is pure LOS.
     """
-    if cfg.box_depth_m <= 0:
-        raise ConfigError("box_depth_m", "array-RIS separation must be positive")
     lam = cfg.wavelength_m
     antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
     elements = ris_grid_positions(cfg)

@@ -3,22 +3,23 @@
 Each check recomputes an expected value through an independent route
 (Monte Carlo, exhaustive search, or an alternative algebraic form) and
 compares it with the library implementation. Returns (name, ok, detail)
-tuples so the CLI can print one line per check.
+tuples so the CLI can print one line per check. The estimation, optimizer
+and receiver suites are also acceptance criteria 5-7.
 """
+
+import time
+import warnings
 
 import numpy as np
 
-from .association import Association
+from .association import Association, assign_pilots_and_clusters
 from .config import SimConfig
-from .estimation import (
-    EffectiveStats,
-    effective_covariance,
-    error_covariance,
-    mmse_estimate,
-    pilot_gram,
-)
+from .estimation import EffectiveStats, effective_covariance, error_covariance, pilot_gram
+from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
-from .receiver import instantaneous_sinr, mmse_combiner, rayleigh_quotient_sinr
+from .network import NetworkRealization
+from .receiver import (instantaneous_sinr, mmse_combiner, pmmse_combiner, rayleigh_quotient_sinr,
+                       spectral_efficiency)
 from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
 
 
@@ -27,116 +28,192 @@ def _random_psd(rng, n, scale=1.0):
     return scale * (x @ x.conj().T) / n
 
 
-def check_objective_identity(rng):
-    """psi^H A psi must equal the direct trace form for random phases."""
-    m, n = 2, 4
-    h = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    obj = build_objective([_random_psd(rng, n), _random_psd(rng, n)], h)
-    worst = 0.0
-    for _ in range(100):
-        psi = np.exp(2j * np.pi * rng.uniform(size=n))
-        lifted = quadratic_objective(psi, obj.A)
-        direct = received_signal_strength(psi, obj.B, h)
-        worst = max(worst, abs(lifted - direct) / max(abs(direct), 1e-300))
-    return "objective quadratic-form identity", worst <= 1e-10, f"max rel err {worst:.2e}"
-
-
-def check_phase_grid(rng):
-    """Power iteration within 1% of an exhaustive 64-level grid, N=3."""
-    a = _random_psd(rng, 3)
-    psi = constrained_power_iteration(a, iterations=50)
-    achieved = quadratic_objective(psi, a)
-    levels = np.exp(2j * np.pi * np.arange(64) / 64)
-    i, j, k = np.meshgrid(levels, levels, levels, indexing="ij")
-    grid = np.stack([i.ravel(), j.ravel(), k.ravel()], axis=1)
-    best = np.einsum("np,pq,nq->n", grid.conj(), a, grid).real.max()
-    ok = achieved >= 0.99 * best
-    return "phase-grid exhaustive oracle", ok, f"achieved {achieved:.6f} vs grid best {best:.6f}"
-
-
-def check_sinr_identity(rng):
-    """Direct SINR form equals the generalized Rayleigh quotient."""
-    cfg = SimConfig(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
-    assoc = _toy_association()
-    ghat = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    f = np.stack([np.stack([_random_psd(rng, 2, 1e-12) for _ in range(2)]) for _ in range(3)])
-    worst = 0.0
-    for k in range(3):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        direct = instantaneous_sinr(k, v, ghat, f, assoc, cfg)
-        quotient = rayleigh_quotient_sinr(k, v, ghat, f, assoc, cfg)
-        worst = max(worst, abs(direct - quotient) / max(direct, 1e-300))
-    return "SINR dual-formula identity", worst <= 1e-12, f"max rel err {worst:.2e}"
-
-
-def _toy_association():
-    serving = np.array([[True, True, False], [True, False, True]])
-    return Association(
-        pilot_of=np.array([0, 1, 2]),
-        master_ap=np.array([0, 0, 1]),
-        serving_matrix=serving,
-        copilot_sets=[[0], [1], [2]],
-        serving_sets=[list(np.where(serving[:, k])[0]) for k in range(3)],
-        served_sets=[list(np.where(serving[l, :])[0]) for l in range(2)],
-    )
-
-
-def check_combiner_optimality(rng):
-    """MMSE combiner beats 200 random combiners on a random instance."""
-    cfg = SimConfig(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
-    assoc = _toy_association()
-    scale = cfg.noise_power_w / cfg.data_power_w
-    ghat = np.sqrt(scale) * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-    f = np.stack([np.stack([_random_psd(rng, 2, scale) for _ in range(2)]) for _ in range(3)])
-    k = 0
-    v = mmse_combiner(k, ghat, f, assoc, cfg)
-    best = instantaneous_sinr(k, v, ghat, f, assoc, cfg)
-    idx = assoc.serving_sets[k]
-    for _ in range(200):
-        rand_v = np.zeros((2, 2), dtype=complex)
-        rand_v[idx] = rng.standard_normal((len(idx), 2)) + 1j * rng.standard_normal((len(idx), 2))
-        sinr = instantaneous_sinr(k, rand_v.reshape(-1), ghat, f, assoc, cfg)
-        if sinr > best * (1 + 1e-9):
-            return "MMSE combiner optimality", False, f"random combiner beat MMSE ({sinr} > {best})"
-    return "MMSE combiner optimality", True, f"MMSE SINR {best:.4f} dominates 200 random combiners"
-
-
-def check_estimation_consistency(rng):
-    """Monte Carlo error covariance matches the analytic C within 3%."""
-    cfg = SimConfig(L=1, K=2, M=2, N=4, tau_p=1, ris_rows=2, ris_cols=2, tau_c=10)
-    front = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    r_k = _random_psd(rng, 4, cfg.noise_power_w)
-    r_i = _random_psd(rng, 4, cfg.noise_power_w)
+def check_estimation_suite(rng):
+    """MMSE estimation: orthogonality, cov(estimate) + error cov = prior, MC match within 3%."""
+    start = time.perf_counter()
+    cfg = SimConfig(L=1, K=2, M=2, N=4, tau_p=1, ris_rows=2, ris_cols=2)
+    n, m = 4, 2
+    scale = cfg.noise_power_w
+    r_k = _random_psd(rng, n, scale)
+    r_i = _random_psd(rng, n, scale)
+    front = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     gram = pilot_gram(
         [effective_covariance(r_k, front), effective_covariance(r_i, front)], cfg
     )
-    c_analytic = error_covariance(r_k, front, gram, cfg)
+    c = error_covariance(r_k, front, gram, cfg)
+
+    tpp = cfg.tau_p * cfg.pilot_power_w
+    t = np.sqrt(tpp) * r_k @ front.conj().T @ np.linalg.inv(gram)
+    cov_hat_analytic = tpp * r_k @ front.conj().T @ np.linalg.inv(gram) @ front @ r_k
+    decomposition = np.linalg.norm(cov_hat_analytic + c - r_k) / np.linalg.norm(r_k)
 
     draws = 100_000
     h_k = sample_complex_gaussian(r_k, rng, size=draws)
     h_i = sample_complex_gaussian(r_i, rng, size=draws)
     noise = np.sqrt(cfg.noise_power_w / 2.0) * (
-        rng.standard_normal((draws, 2)) + 1j * rng.standard_normal((draws, 2))
+        rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))
     )
-    z = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * (h_k + h_i) @ front.T + noise
-    t = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * r_k @ front.conj().T @ np.linalg.inv(gram)
+    z = np.sqrt(tpp) * (h_k + h_i) @ front.T + noise
     h_hat = z @ t.T
     err = h_k - h_hat
-    c_empirical = err.T @ err.conj() / draws
-    rel = np.linalg.norm(c_empirical - c_analytic) / np.linalg.norm(c_analytic)
-    # sanity: estimator map used above matches mmse_estimate on one draw
-    one = mmse_estimate(z[0], r_k, front, gram, cfg)
-    assert np.allclose(one, h_hat[0], rtol=1e-10, atol=0)
-    return "estimation error-covariance Monte Carlo", rel <= 0.03, f"rel Frobenius err {rel:.4f}"
+
+    # orthogonality: estimate and error are uncorrelated
+    cross = err.T @ h_hat.conj() / draws
+    ortho = np.linalg.norm(cross) / np.linalg.norm(cov_hat_analytic)
+    # Monte Carlo error covariance matches the analytic one
+    c_emp = err.T @ err.conj() / draws
+    mc_match = np.linalg.norm(c_emp - c) / np.linalg.norm(c)
+
+    elapsed = time.perf_counter() - start
+    ok = decomposition <= 1e-12 and ortho <= 0.03 and mc_match <= 0.03 and elapsed < 60
+    return (
+        "estimation suite: orthogonality, cov(estimate)+error-cov = prior, MC match within 3%",
+        ok,
+        f"decomp {decomposition:.1e}, ortho {ortho:.3f}, MC {mc_match:.3f}, {elapsed:.1f}s",
+    )
+
+
+def check_optimizer_suite(rng):
+    """Phase optimizer: objective identity, monotone iteration, rank-one optimum, 64-level grid."""
+    start = time.perf_counter()
+
+    # lifted quadratic form equals the direct trace objective (1e-10)
+    worst_identity = 0.0
+    for _ in range(100):
+        h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        obj = build_objective([_random_psd(rng, 4), _random_psd(rng, 4)], h)
+        psi = np.exp(2j * np.pi * rng.uniform(size=4))
+        lifted = quadratic_objective(psi, obj.A)
+        direct = received_signal_strength(psi, obj.B, h)
+        worst_identity = max(worst_identity, abs(lifted - direct) / max(abs(direct), 1e-300))
+
+    # monotone objective on 1000 random PSD instances (1e-9 slack)
+    monotone = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(1000):
+            a = _random_psd(rng, 5)
+            start_obj = quadratic_objective(np.ones(5, dtype=complex), a)
+            try:
+                psi = constrained_power_iteration(a, iterations=50)
+            except RuntimeWarning:
+                monotone = False
+                break
+            if quadratic_objective(psi, a) < start_obj - 1e-9 * abs(start_obj):
+                monotone = False
+                break
+
+    # rank-one instances have a closed-form optimum (sum |a_n|)^2
+    rank_one_ok = True
+    for _ in range(20):
+        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        A = np.outer(a.conj(), a)
+        psi = constrained_power_iteration(A)
+        achieved = quadratic_objective(psi, A)
+        if abs(achieved - np.sum(np.abs(a)) ** 2) > 1e-9 * achieved:
+            rank_one_ok = False
+            break
+
+    # exhaustive 64-level grid on N=3 within 1%
+    levels = np.exp(2j * np.pi * np.arange(64) / 64)
+    gi, gj, gk = np.meshgrid(levels, levels, levels, indexing="ij")
+    grid = np.stack([gi.ravel(), gj.ravel(), gk.ravel()], axis=1)
+    grid_ok = True
+    for _ in range(5):
+        a = _random_psd(rng, 3)
+        psi = constrained_power_iteration(a)
+        best = np.einsum("np,pq,nq->n", grid.conj(), a, grid).real.max()
+        if quadratic_objective(psi, a) < 0.99 * best:
+            grid_ok = False
+            break
+
+    elapsed = time.perf_counter() - start
+    ok = worst_identity <= 1e-10 and monotone and rank_one_ok and grid_ok and elapsed < 60
+    return (
+        "optimizer suite: objective identity, monotone iteration, rank-one optimum, 64-level grid",
+        ok,
+        f"identity {worst_identity:.1e}, monotone {monotone}, rank-one {rank_one_ok}, "
+        f"grid {grid_ok}, {elapsed:.1f}s",
+    )
+
+
+def _random_receiver_instance(rng, cfg, serving):
+    K, L, m = cfg.K, cfg.L, cfg.M
+    scale = cfg.noise_power_w / cfg.data_power_w
+    ghat = np.sqrt(scale) * (
+        rng.standard_normal((K, L, m)) + 1j * rng.standard_normal((K, L, m))
+    )
+    F = np.stack(
+        [np.stack([_random_psd(rng, m, scale) for _ in range(L)]) for _ in range(K)]
+    )
+    serving = np.asarray(serving, dtype=bool)
+    assoc = Association(
+        pilot_of=np.arange(K),
+        master_ap=np.argmax(serving, axis=0),
+        serving_matrix=serving,
+    )
+    return ghat, F, assoc
+
+
+def check_receiver_suite(rng):
+    """Receiver: SINR identity, MMSE dominance, scale invariance, partial = full on overlap."""
+    cfg = SimConfig(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
+    serving = [[True, True, False], [True, False, True]]
+
+    worst_identity = 0.0
+    worst_scale = 0.0
+    dominance = True
+    for _ in range(100):
+        ghat, F, assoc = _random_receiver_instance(rng, cfg, serving)
+        k = int(rng.integers(3))
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        direct = instantaneous_sinr(k, v, ghat, F, assoc, cfg)
+        quotient = rayleigh_quotient_sinr(k, v, ghat, F, assoc, cfg)
+        worst_identity = max(worst_identity, abs(direct - quotient) / direct)
+        scaled = instantaneous_sinr(k, (1.7 + 0.3j) * v, ghat, F, assoc, cfg)
+        worst_scale = max(worst_scale, abs(scaled - direct) / direct)
+
+        vm = mmse_combiner(k, ghat, F, assoc, cfg)
+        best = instantaneous_sinr(k, vm, ghat, F, assoc, cfg)
+        idx = assoc.serving_sets[k]
+        for _ in range(200):
+            cand = np.zeros((2, 2), dtype=complex)
+            cand[idx] = rng.standard_normal((len(idx), 2)) + 1j * rng.standard_normal(
+                (len(idx), 2)
+            )
+            if instantaneous_sinr(k, cand.reshape(-1), ghat, F, assoc, cfg) > best * (1 + 1e-9):
+                dominance = False
+                break
+        if not dominance:
+            break
+
+    worst_overlap = 0.0
+    for _ in range(10):
+        ghat, F, assoc = _random_receiver_instance(rng, cfg, np.ones((2, 3), dtype=bool))
+        for k in range(3):
+            vm = mmse_combiner(k, ghat, F, assoc, cfg)
+            vp = pmmse_combiner(k, ghat, F, assoc, cfg)
+            worst_overlap = max(
+                worst_overlap, np.linalg.norm(vm - vp) / np.linalg.norm(vm)
+            )
+
+    ok = (
+        worst_identity <= 1e-12
+        and worst_scale <= 1e-12
+        and dominance
+        and worst_overlap <= 1e-10
+    )
+    return (
+        "receiver suite: SINR identity, MMSE dominance, scale invariance, partial = full on overlap",
+        ok,
+        f"identity {worst_identity:.1e}, scale {worst_scale:.1e}, dominance {dominance}, "
+        f"overlap {worst_overlap:.1e}",
+    )
 
 
 def check_fast_path_equivalence(rng):
-    """Batched runner SE equals the per-block reference combining chain."""
-    from .association import assign_pilots_and_clusters
-    from .experiment import block_batched_se
-    from .network import NetworkRealization
-    from .receiver import pmmse_combiner, spectral_efficiency
-
+    """Batched runner SE equals the per-block reference combining chain, for both
+    combiners, RIS fronts and the no-RIS front (None), on a K > tau_p drop."""
     cfg = SimConfig(L=3, K=4, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
     beta = rng.uniform(0.5, 2.0, size=(4, 3)) * cfg.noise_power_w / cfg.data_power_w
     r = np.stack(
@@ -145,31 +222,26 @@ def check_fast_path_equivalence(rng):
     real = NetworkRealization(np.zeros((3, 2)), np.zeros((4, 2)), beta, np.zeros((4, 3)))
     assoc = assign_pilots_and_clusters(real, cfg)
     fronts = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
-    stats = EffectiveStats(r, fronts, assoc.pilot_of, cfg)
 
     n_blocks = 5
-    fast = block_batched_se(
-        stats, assoc, cfg, np.random.default_rng(1234), combiner="pmmse", n_blocks=n_blocks
-    )
-    z = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
-    ghat_all = stats.effective_estimates(z)               # (b, L, m, K)
-    slow = np.empty((4, n_blocks))
-    for b in range(n_blocks):
-        ghat = np.moveaxis(ghat_all[b], -1, 0)            # (K, L, m)
-        for k in range(4):
-            v = pmmse_combiner(k, ghat, stats.F, assoc, cfg)
-            slow[k, b] = instantaneous_sinr(k, v, ghat, stats.F, assoc, cfg)
-    reference = np.array([spectral_efficiency(slow[k], cfg) for k in range(4)])
-    worst = float(np.max(np.abs(fast - reference) / reference))
+    worst = 0.0
+    for front in (fronts, None):
+        stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
+        z = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
+        ghat_all = np.moveaxis(stats.effective_estimates(z), -1, 1)   # (b, K, L, m)
+        for combiner, combine in (("pmmse", pmmse_combiner), ("mmse", mmse_combiner)):
+            fast = block_batched_se(stats, assoc, cfg, np.random.default_rng(1234), combiner, n_blocks)
+            sinr = [[instantaneous_sinr(k, combine(k, g, stats.F, assoc, cfg), g, stats.F, assoc, cfg)
+                     for g in ghat_all] for k in range(4)]
+            reference = np.array([spectral_efficiency(samples, cfg) for samples in sinr])
+            worst = max(worst, float(np.max(np.abs(fast - reference) / reference)))
     return "batched SE reference equivalence", worst <= 1e-10, f"max rel err {worst:.2e}"
 
 
 ALL_CHECKS = (
-    check_objective_identity,
-    check_phase_grid,
-    check_sinr_identity,
-    check_combiner_optimality,
-    check_estimation_consistency,
+    check_estimation_suite,
+    check_optimizer_suite,
+    check_receiver_suite,
     check_fast_path_equivalence,
 )
 

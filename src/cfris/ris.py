@@ -110,8 +110,7 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
         return psi
     if mode != "optimized":
         raise ValueError(f"unknown phase mode {mode!r}")
-    for l in range(L):
-        served = assoc.served_sets[l]
+    for l, served in enumerate(assoc.served_sets):
         objective = build_objective([stats.R[k, l] for k in served], stats.H[l])
         if objective.neutral:
             continue

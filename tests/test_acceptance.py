@@ -1,32 +1,22 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Criteria 1-4 are quantitative Monte Carlo reproductions at stated scales;
-criteria 5-7 are timed property suites for the estimation, phase-optimizer,
-and receiver modules; criterion 8 checks byte-identical reports under
+criteria 5-7 are the timed property suites for the estimation, phase-optimizer,
+and receiver modules from ``cfris.oracles`` (also run by ``cfris oracle``);
+criterion 8 checks byte-identical reports under
 re-runs and different thread counts. Run with ``pytest -v`` (add ``-s`` to
 see the per-criterion lines as they complete).
 """
 
 import filecmp
 import os
-import time
-import warnings
 
 import numpy as np
 import pytest
 
-from cfris.association import Association
+from cfris import oracles
 from cfris.config import SimConfig
-from cfris.estimation import effective_covariance, error_covariance, pilot_gram
 from cfris.experiment import ExperimentSpec, emit_report, run_experiment
-from cfris.linalg import sample_complex_gaussian
-from cfris.receiver import (
-    instantaneous_sinr,
-    mmse_combiner,
-    pmmse_combiner,
-    rayleigh_quotient_sinr,
-)
-from cfris.ris import constrained_power_iteration, quadratic_objective
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -35,11 +25,6 @@ def report_line(num, description, ok, detail=""):
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}{tail}", flush=True)
     assert ok, f"criterion {num}: {description}{tail}"
-
-
-def random_psd(rng, n, scale=1.0):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (x @ x.conj().T) / n
 
 
 @pytest.fixture(scope="module")
@@ -126,195 +111,15 @@ def test_criterion_4_sparse_ordering(sparse_run):
 
 
 def test_criterion_5_estimation_suite():
-    start = time.perf_counter()
-    rng = np.random.default_rng(50)
-    cfg = SimConfig(L=1, K=2, M=2, N=4, tau_p=1, ris_rows=2, ris_cols=2)
-    n, m = 4, 2
-    scale = cfg.noise_power_w
-    r_k = random_psd(rng, n, scale)
-    r_i = random_psd(rng, n, scale)
-    front = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    gram = pilot_gram(
-        [effective_covariance(r_k, front), effective_covariance(r_i, front)], cfg
-    )
-    c = error_covariance(r_k, front, gram, cfg)
-
-    tpp = cfg.tau_p * cfg.pilot_power_w
-    t = np.sqrt(tpp) * r_k @ front.conj().T @ np.linalg.inv(gram)
-    cov_hat_analytic = tpp * r_k @ front.conj().T @ np.linalg.inv(gram) @ front @ r_k
-    decomposition = np.linalg.norm(cov_hat_analytic + c - r_k) / np.linalg.norm(r_k)
-
-    draws = 100_000
-    h_k = sample_complex_gaussian(r_k, rng, size=draws)
-    h_i = sample_complex_gaussian(r_i, rng, size=draws)
-    noise = np.sqrt(cfg.noise_power_w / 2.0) * (
-        rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))
-    )
-    z = np.sqrt(tpp) * (h_k + h_i) @ front.T + noise
-    h_hat = z @ t.T
-    err = h_k - h_hat
-
-    # orthogonality: estimate and error are uncorrelated
-    cross = err.T @ h_hat.conj() / draws
-    ortho = np.linalg.norm(cross) / np.linalg.norm(cov_hat_analytic)
-    # Monte Carlo error covariance matches the analytic one
-    c_emp = err.T @ err.conj() / draws
-    mc_match = np.linalg.norm(c_emp - c) / np.linalg.norm(c)
-
-    elapsed = time.perf_counter() - start
-    ok = decomposition <= 1e-12 and ortho <= 0.03 and mc_match <= 0.03 and elapsed < 60
-    report_line(
-        5,
-        "estimation suite: orthogonality, cov(estimate)+error-cov = prior, MC match within 3%",
-        ok,
-        f"decomp {decomposition:.1e}, ortho {ortho:.3f}, MC {mc_match:.3f}, {elapsed:.1f}s",
-    )
+    report_line(5, *oracles.check_estimation_suite(np.random.default_rng(50)))
 
 
 def test_criterion_6_optimizer_suite():
-    from cfris.network import ChannelStats  # noqa: F401  (import parity with runtime use)
-    from cfris.ris import build_objective, received_signal_strength
-
-    start = time.perf_counter()
-    rng = np.random.default_rng(60)
-
-    # lifted quadratic form equals the direct trace objective (1e-10)
-    worst_identity = 0.0
-    for _ in range(100):
-        h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        obj = build_objective([random_psd(rng, 4), random_psd(rng, 4)], h)
-        psi = np.exp(2j * np.pi * rng.uniform(size=4))
-        lifted = quadratic_objective(psi, obj.A)
-        direct = received_signal_strength(psi, obj.B, h)
-        worst_identity = max(worst_identity, abs(lifted - direct) / max(abs(direct), 1e-300))
-
-    # monotone objective on 1000 random PSD instances (1e-9 slack)
-    monotone = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for _ in range(1000):
-            a = random_psd(rng, 5)
-            start_obj = quadratic_objective(np.ones(5, dtype=complex), a)
-            try:
-                psi = constrained_power_iteration(a, iterations=50)
-            except RuntimeWarning:
-                monotone = False
-                break
-            if quadratic_objective(psi, a) < start_obj - 1e-9 * abs(start_obj):
-                monotone = False
-                break
-
-    # rank-one instances have a closed-form optimum (sum |a_n|)^2
-    rank_one_ok = True
-    for _ in range(20):
-        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        A = np.outer(a.conj(), a)
-        psi = constrained_power_iteration(A)
-        achieved = quadratic_objective(psi, A)
-        if abs(achieved - np.sum(np.abs(a)) ** 2) > 1e-9 * achieved:
-            rank_one_ok = False
-            break
-
-    # exhaustive 64-level grid on N=3 within 1%
-    levels = np.exp(2j * np.pi * np.arange(64) / 64)
-    gi, gj, gk = np.meshgrid(levels, levels, levels, indexing="ij")
-    grid = np.stack([gi.ravel(), gj.ravel(), gk.ravel()], axis=1)
-    grid_ok = True
-    for _ in range(5):
-        a = random_psd(rng, 3)
-        psi = constrained_power_iteration(a)
-        best = np.einsum("np,pq,nq->n", grid.conj(), a, grid).real.max()
-        if quadratic_objective(psi, a) < 0.99 * best:
-            grid_ok = False
-            break
-
-    elapsed = time.perf_counter() - start
-    ok = worst_identity <= 1e-10 and monotone and rank_one_ok and grid_ok and elapsed < 60
-    report_line(
-        6,
-        "optimizer suite: objective identity, monotone iteration, rank-one optimum, 64-level grid",
-        ok,
-        f"identity {worst_identity:.1e}, monotone {monotone}, rank-one {rank_one_ok}, "
-        f"grid {grid_ok}, {elapsed:.1f}s",
-    )
-
-
-def _random_receiver_instance(rng, cfg, serving):
-    K, L, m = cfg.K, cfg.L, cfg.M
-    scale = cfg.noise_power_w / cfg.data_power_w
-    ghat = np.sqrt(scale) * (
-        rng.standard_normal((K, L, m)) + 1j * rng.standard_normal((K, L, m))
-    )
-    F = np.stack(
-        [np.stack([random_psd(rng, m, scale) for _ in range(L)]) for _ in range(K)]
-    )
-    serving = np.asarray(serving, dtype=bool)
-    assoc = Association(
-        pilot_of=np.arange(K),
-        master_ap=np.argmax(serving, axis=0),
-        serving_matrix=serving,
-        copilot_sets=[[k] for k in range(K)],
-        serving_sets=[list(np.where(serving[:, k])[0]) for k in range(K)],
-        served_sets=[list(np.where(serving[l, :])[0]) for l in range(L)],
-    )
-    return ghat, F, assoc
+    report_line(6, *oracles.check_optimizer_suite(np.random.default_rng(60)))
 
 
 def test_criterion_7_receiver_suite():
-    rng = np.random.default_rng(70)
-    cfg = SimConfig(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
-    serving = [[True, True, False], [True, False, True]]
-
-    worst_identity = 0.0
-    worst_scale = 0.0
-    dominance = True
-    for _ in range(100):
-        ghat, F, assoc = _random_receiver_instance(rng, cfg, serving)
-        k = int(rng.integers(3))
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        direct = instantaneous_sinr(k, v, ghat, F, assoc, cfg)
-        quotient = rayleigh_quotient_sinr(k, v, ghat, F, assoc, cfg)
-        worst_identity = max(worst_identity, abs(direct - quotient) / direct)
-        scaled = instantaneous_sinr(k, (1.7 + 0.3j) * v, ghat, F, assoc, cfg)
-        worst_scale = max(worst_scale, abs(scaled - direct) / direct)
-
-        vm = mmse_combiner(k, ghat, F, assoc, cfg)
-        best = instantaneous_sinr(k, vm, ghat, F, assoc, cfg)
-        idx = assoc.serving_sets[k]
-        for _ in range(200):
-            cand = np.zeros((2, 2), dtype=complex)
-            cand[idx] = rng.standard_normal((len(idx), 2)) + 1j * rng.standard_normal(
-                (len(idx), 2)
-            )
-            if instantaneous_sinr(k, cand.reshape(-1), ghat, F, assoc, cfg) > best * (1 + 1e-9):
-                dominance = False
-                break
-        if not dominance:
-            break
-
-    worst_overlap = 0.0
-    for _ in range(10):
-        ghat, F, assoc = _random_receiver_instance(rng, cfg, np.ones((2, 3), dtype=bool))
-        for k in range(3):
-            vm = mmse_combiner(k, ghat, F, assoc, cfg)
-            vp = pmmse_combiner(k, ghat, F, assoc, cfg)
-            worst_overlap = max(
-                worst_overlap, np.linalg.norm(vm - vp) / np.linalg.norm(vm)
-            )
-
-    ok = (
-        worst_identity <= 1e-12
-        and worst_scale <= 1e-12
-        and dominance
-        and worst_overlap <= 1e-10
-    )
-    report_line(
-        7,
-        "receiver suite: SINR identity, MMSE dominance, scale invariance, partial = full on overlap",
-        ok,
-        f"identity {worst_identity:.1e}, scale {worst_scale:.1e}, dominance {dominance}, "
-        f"overlap {worst_overlap:.1e}",
-    )
+    report_line(7, *oracles.check_receiver_suite(np.random.default_rng(70)))
 
 
 def test_criterion_8_determinism(tmp_path):

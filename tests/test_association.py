@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cfris.association import Association, assign_pilots_and_clusters, selector_apply
+from cfris.association import assign_pilots_and_clusters
 from cfris.config import SimConfig
-from cfris.exceptions import DimensionError
 from cfris.network import NetworkRealization, generate_realization
 
 
@@ -58,13 +57,6 @@ class TestHandTraced:
         assert assoc.serving_sets[2] == [0]
         assert assoc.serving_sets[3] == [1, 2]
 
-    def test_copilot_sets(self):
-        assoc = self.assoc()
-        assert assoc.copilot_sets[0] == [0, 3]
-        assert assoc.copilot_sets[1] == [1, 2]
-        assert assoc.copilot_sets[2] == [1, 2]
-        assert assoc.copilot_sets[3] == [0, 3]
-
     def test_pmmse_partners(self):
         assoc = self.assoc()
         assert assoc.pmmse_partners(0) == [0, 2]
@@ -85,8 +77,7 @@ class TestEdgeCases:
     def test_more_pilots_than_ues(self):
         beta = [[1.0], [2.0]]
         assoc = assign_pilots_and_clusters(make_realization(beta), cfg_for(beta, 5))
-        assert assoc.pilot_of.tolist() == [0, 1]
-        assert assoc.copilot_sets[0] == [0]
+        assert assoc.pilot_of.tolist() == [0, 1]  # no pilot is shared
 
     def test_all_ues_same_master_forced_reuse(self):
         # 3 UEs, 2 pilots, one AP: reuse is unavoidable; the third UE takes
@@ -130,38 +121,5 @@ class TestProperties:
         # set views agree with the matrix
         for k in range(cfg.K):
             assert assoc.serving_sets[k] == list(np.where(assoc.serving_matrix[:, k])[0])
-            assert k in assoc.copilot_sets[k]
             assert k in assoc.pmmse_partners(k)
 
-
-class TestSelector:
-    def toy(self):
-        serving = np.array([[True, False], [False, True], [True, True]])
-        return Association(
-            pilot_of=np.array([0, 1]),
-            master_ap=np.array([0, 1]),
-            serving_matrix=serving,
-            copilot_sets=[[0], [1]],
-            serving_sets=[[0, 2], [1, 2]],
-            served_sets=[[0], [1], [0, 1]],
-        )
-
-    def test_zeroes_non_serving_blocks(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        out = selector_apply(self.toy(), 0, x)
-        assert out.tolist() == [1.0, 2.0, 0.0, 0.0, 5.0, 6.0]
-
-    def test_other_ue(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        out = selector_apply(self.toy(), 1, x)
-        assert out.tolist() == [0.0, 0.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        once = selector_apply(self.toy(), 0, x)
-        assert np.array_equal(selector_apply(self.toy(), 0, once), once)
-
-    def test_length_must_be_multiple_of_l(self):
-        with pytest.raises(DimensionError):
-            selector_apply(self.toy(), 0, np.ones(7))

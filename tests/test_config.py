@@ -51,6 +51,16 @@ class TestValidation:
             ("mc_setups", 0),
             ("mc_channel_realizations", 0),
             ("area_side_m", -5.0),
+            ("noise_power_dbm", float("nan")),
+            ("area_side_m", float("nan")),
+            ("pilot_power_mw", float("inf")),
+            ("ap_height_m", float("-inf")),
+            ("carrier_frequency_hz", 0.0),
+            ("element_spacing", 0.0),
+            ("shadowing_decorrelation_m", 0.0),
+            ("min_distance_m", 0.0),
+            ("angular_spread_deg", -5.0),
+            ("shadowing_std_db", -1.0),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
@@ -66,6 +76,8 @@ class TestValidation:
     def test_ris_grid_shape_must_match_n(self):
         with pytest.raises(ConfigError):
             SimConfig(N=36, ris_rows=5, ris_cols=6).validate()
+        with pytest.raises(ConfigError, match="ris_rows"):
+            SimConfig(N=36, ris_rows=-6, ris_cols=-6).validate()
 
     def test_ris_smaller_than_array(self):
         with pytest.raises(ConfigError, match="N"):

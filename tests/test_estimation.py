@@ -9,7 +9,6 @@ from cfris.estimation import (
     error_covariance,
     mmse_estimate,
     pilot_gram,
-    received_pilot_statistic,
 )
 from cfris.exceptions import DimensionError
 from cfris.linalg import sample_complex_gaussian
@@ -180,29 +179,6 @@ class TestMmseEstimate:
         cross = err.T @ z.conj() / draws
         ref = np.sqrt(np.linalg.norm(r_k) * np.linalg.norm(gram))
         assert np.linalg.norm(cross) <= 0.03 * ref
-
-
-class TestReceivedPilotStatistic:
-    def test_mean_and_covariance(self):
-        rng = np.random.default_rng(7)
-        cfg = small_cfg()
-        front = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        channels = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        draws = 50_000
-        z = np.stack(
-            [received_pilot_statistic(channels, front, cfg, rng) for _ in range(draws)]
-        )
-        mean_expected = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * front @ channels.sum(axis=0)
-        assert np.allclose(z.mean(axis=0), mean_expected, atol=5e-2 * np.sqrt(cfg.noise_power_w / draws) * 1e3 + 1e-9)
-        centered = z - mean_expected
-        cov = centered.T @ centered.conj() / draws
-        assert np.linalg.norm(cov - cfg.noise_power_w * np.eye(2)) <= 0.03 * cfg.noise_power_w * np.sqrt(2)
-
-    def test_no_front(self):
-        rng = np.random.default_rng(8)
-        cfg = small_cfg()
-        z = received_pilot_statistic(np.ones((1, 3), dtype=complex), None, cfg, rng)
-        assert z.shape == (3,)
 
 
 class TestErrorCovariance:

@@ -27,14 +27,10 @@ def random_psd(rng, n, scale=1.0):
 
 def toy_association(serving):
     serving = np.asarray(serving, dtype=bool)
-    L, K = serving.shape
     return Association(
-        pilot_of=np.arange(K),
+        pilot_of=np.arange(serving.shape[1]),
         master_ap=np.argmax(serving, axis=0),
         serving_matrix=serving,
-        copilot_sets=[[k] for k in range(K)],
-        serving_sets=[list(np.where(serving[:, k])[0]) for k in range(K)],
-        served_sets=[list(np.where(serving[l, :])[0]) for l in range(L)],
     )
 
 

@@ -134,9 +134,6 @@ class TestSelectLongTerm:
             pilot_of=np.array([0, 1]),
             master_ap=np.array([0, 1]),
             serving_matrix=serving,
-            copilot_sets=[[0], [1]],
-            serving_sets=[[0], [0, 1]],
-            served_sets=[[0, 1], [1]],
         )
         return ChannelStats(R, H), assoc, cfg
 
@@ -181,6 +178,6 @@ class TestSelectLongTerm:
     def test_unserved_ap_keeps_neutral_phases(self):
         rng = np.random.default_rng(15)
         stats, assoc, cfg = self.setup_stats(rng)
-        assoc.served_sets[1] = []
+        assoc.serving_matrix[1] = False
         psi = select_long_term_config(stats, assoc, cfg, mode="optimized")
         assert np.array_equal(psi[1], np.ones(4, dtype=complex))
