@@ -95,60 +95,45 @@ def front_channels(cfg):
 def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     """Per-UE spectral efficiency averaged over coherence blocks.
 
-    Runs the combining chain for all blocks of one (realization, scenario)
-    at once. The combiner solve uses the block-diagonal structure of the
-    error-plus-noise covariance (Woodbury identity with the low-rank
-    estimate outer products), which is algebraically identical to the
-    direct subspace solve in receiver.py.
+    On UE k's serving APs the combiner solves (Lambda + G G^H) v = ghat_k,
+    with Lambda the block-diagonal error-plus-noise blocks and G =
+    [sqrt(eta) ghat_i] over the partners. As (Lambda + G G^H)^-1 G =
+    Lambda^-1 G S^-1 with S = I + G^H Lambda^-1 G, v is a column of
+    (Lambda^-1 G) S^-1 up to a scale the SINR ignores. No difference of
+    nearly equal vectors is formed, so high-SINR UEs keep the accuracy of
+    the direct solve in receiver.py. Lambda^-1 and S depend only on the
+    (serving set, partner set), so each such group of UEs takes one pass.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
-    K, m = stats.K, stats.m
-    eta = np.full(K, cfg.data_power_w)
-    sigma2 = cfg.noise_power_w
-    eye = np.eye(m)
-
-    per_ue = []
+    K, m, eta, sigma2 = stats.K, stats.m, cfg.data_power_w, cfg.noise_power_w
+    groups = {}
     for k, serving in enumerate(assoc.serving_sets):
-        idx = np.asarray(serving, dtype=int)
-        partners = (
-            np.asarray(assoc.pmmse_partners(k), dtype=int)
-            if combiner == "pmmse"
-            else np.arange(K)
-        )
-        lam = np.tensordot(eta[partners], stats.F[partners][:, idx], axes=(0, 0))
-        lam += sigma2 * eye
-        per_ue.append((idx, partners, np.linalg.inv(lam)))
-    f_total = np.tensordot(eta, stats.F, axes=(0, 0))  # (L, m, m)
+        partners = assoc.pmmse_partners(k) if combiner == "pmmse" else range(K)
+        groups.setdefault((tuple(serving), tuple(partners)), []).append(k)
+    plan = []
+    for (serving, partners), members in groups.items():
+        idx, part = np.array(serving), np.array(partners)
+        lam = eta * stats.F[part][:, idx].sum(axis=0) + sigma2 * np.eye(m)
+        plan.append((idx, part, np.linalg.inv(lam), members, [partners.index(k) for k in members]))
+    err_noise = eta * stats.F.sum(axis=0) + sigma2 * np.eye(m)  # SINR denominator blocks, (L, m, m)
 
     sum_log = np.zeros(K)
-    done = 0
-    while done < n_blocks:
-        b = min(_BLOCK_CHUNK, n_blocks - done)
-        z = stats.sample_pilot_statistics(rng, b)
-        ghat = stats.effective_estimates(z)  # (b, L, m, K)
-        for k, (idx, partners, lam_inv) in enumerate(per_ue):
-            gh = ghat[:, idx]                               # (b, mk, m, K)
-            gs = gh[..., partners] * np.sqrt(eta[partners])
-            a = np.einsum("lmn,blns->blms", lam_inv, gs)
-            s = np.einsum("blms,blmt->bst", gs.conj(), a)
-            ns = s.shape[-1]
-            s[:, np.arange(ns), np.arange(ns)] += 1.0
-            u = np.einsum("lmn,bln->blm", lam_inv, gh[..., k])
-            w = np.einsum("blms,blm->bs", gs.conj(), u)
-            c = np.linalg.solve(s, w[..., None])[..., 0]
-            v = u - np.einsum("blms,bs->blm", a, c)        # combiner, serving blocks
-            cross = np.einsum("blm,blmi->bi", v.conj(), gh)
-            power = eta * np.abs(cross) ** 2
-            signal = power[:, k]
-            interference = power.sum(axis=1) - signal
-            z_term = np.einsum("blm,lmn,bln->b", v.conj(), f_total[idx], v).real
-            noise = sigma2 * np.einsum("blm,blm->b", v.conj(), v).real
-            sinr = signal / (interference + z_term + noise)
-            sum_log[k] += np.log2(1.0 + sinr).sum()
-        done += b
-    prefactor = (cfg.tau_c - cfg.tau_p) / cfg.tau_c
-    return prefactor * sum_log / n_blocks
+    for start in range(0, n_blocks, _BLOCK_CHUNK):
+        b = min(_BLOCK_CHUNK, n_blocks - start)
+        ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
+        for idx, part, lam_inv, members, cols in plan:
+            gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
+            g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
+            a = (lam_inv @ g.reshape(b, idx.size, m, -1)).reshape(g.shape)
+            s = g.conj().swapaxes(1, 2) @ a + np.eye(part.size)
+            v = a @ np.linalg.inv(s)[..., cols]                # members' combiners, (b, d, n)
+            power = eta * np.abs(v.conj().swapaxes(1, 2) @ gh) ** 2   # (b, n, K)
+            signal = power[:, np.arange(len(members)), members]
+            vb = v.reshape(b, idx.size, m, -1)
+            rest = np.sum(vb.conj() * (err_noise[idx] @ vb), axis=(1, 2)).real
+            sum_log[members] += np.log2(1.0 + signal / (power.sum(axis=2) - signal + rest)).sum(axis=0)
+    return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
 
 
 def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):

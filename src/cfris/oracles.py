@@ -18,8 +18,8 @@ from .estimation import EffectiveStats, effective_covariance, error_covariance, 
 from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
 from .network import NetworkRealization
-from .receiver import (instantaneous_sinr, mmse_combiner, pmmse_combiner, rayleigh_quotient_sinr,
-                       spectral_efficiency)
+from .receiver import (_restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner,
+                       rayleigh_quotient_sinr, spectral_efficiency)
 from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
 
 
@@ -211,31 +211,49 @@ def check_receiver_suite(rng):
     )
 
 
-def check_fast_path_equivalence(rng):
-    """Batched runner SE equals the per-block reference combining chain, for both
-    combiners, RIS fronts and the no-RIS front (None), on a K > tau_p drop."""
-    cfg = SimConfig(L=3, K=4, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
-    beta = rng.uniform(0.5, 2.0, size=(4, 3)) * cfg.noise_power_w / cfg.data_power_w
-    r = np.stack(
-        [np.stack([beta[k, l] * _random_psd(rng, 4) for l in range(3)]) for k in range(4)]
-    )
-    real = NetworkRealization(np.zeros((3, 2)), np.zeros((4, 2)), beta, np.zeros((4, 3)))
-    assoc = assign_pilots_and_clusters(real, cfg)
-    fronts = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+def _equivalence_drop(rng, cfg, beta):
+    """Correlation matrices scaled by beta (K, L), DCC association and RIS fronts of a random drop."""
+    K, L = beta.shape
+    r = np.array([[beta[k, l] * _random_psd(rng, cfg.N) for l in range(L)] for k in range(K)])
+    real = NetworkRealization(np.zeros((L, 2)), np.zeros((K, 2)), beta, np.zeros((K, L)))
+    fronts = rng.standard_normal((L, cfg.M, cfg.N)) + 1j * rng.standard_normal((L, cfg.M, cfg.N))
+    return r, assign_pilots_and_clusters(real, cfg), fronts
 
-    n_blocks = 5
-    worst = 0.0
-    for front in (fronts, None):
-        stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
-        z = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
-        ghat_all = np.moveaxis(stats.effective_estimates(z), -1, 1)   # (b, K, L, m)
-        for combiner, combine in (("pmmse", pmmse_combiner), ("mmse", mmse_combiner)):
-            fast = block_batched_se(stats, assoc, cfg, np.random.default_rng(1234), combiner, n_blocks)
-            sinr = [[instantaneous_sinr(k, combine(k, g, stats.F, assoc, cfg), g, stats.F, assoc, cfg)
-                     for g in ghat_all] for k in range(4)]
-            reference = np.array([spectral_efficiency(samples, cfg) for samples in sinr])
-            worst = max(worst, float(np.max(np.abs(fast - reference) / reference)))
-    return "batched SE reference equivalence", worst <= 1e-10, f"max rel err {worst:.2e}"
+
+def _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks):
+    """Per-UE SE of the batched kernel and of the reference chain on the same pilot draws, and
+    per UE the largest condition number of the system the reference combiner solves."""
+    fast = block_batched_se(stats, assoc, cfg, np.random.default_rng(1234), combiner, n_blocks)
+    z = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
+    ghat_all = np.moveaxis(stats.effective_estimates(z), -1, 1)   # (b, K, L, m)
+    combine = pmmse_combiner if combiner == "pmmse" else mmse_combiner
+    F, eta = stats.F, np.full(stats.K, cfg.data_power_w)
+    reference, cond = np.empty(stats.K), np.empty(stats.K)
+    for k in range(stats.K):
+        partners = assoc.pmmse_partners(k) if combiner == "pmmse" else range(stats.K)
+        reference[k] = spectral_efficiency(
+            [instantaneous_sinr(k, combine(k, g, F, assoc, cfg), g, F, assoc, cfg) for g in ghat_all], cfg)
+        cond[k] = np.linalg.cond([_restricted_outer_sum(k, g, F, assoc, eta, cfg.noise_power_w, partners)[2]
+                                  for g in ghat_all]).max()
+    return fast, reference, cond
+
+
+def check_fast_path_equivalence(rng):
+    """Batched runner SE equals the per-block reference combining chain, for both combiners,
+    RIS fronts and the no-RIS front (None), on a K > tau_p drop (UEs with their own serving
+    sets) and a K <= tau_p drop (every AP serves every UE: all UEs form one group)."""
+    worst = cond = 0.0
+    for K, tau_p in ((4, 2), (3, 3)):
+        cfg = SimConfig(L=3, K=K, M=2, N=4, tau_p=tau_p, ris_rows=2, ris_cols=2)
+        beta = rng.uniform(0.5, 2.0, size=(K, 3)) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, fronts = _equivalence_drop(rng, cfg, beta)
+        for front in (fronts, None):
+            stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
+            for combiner in ("pmmse", "mmse"):
+                fast, reference, kappa = _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks=5)
+                worst = max(worst, float(np.max(np.abs(fast - reference) / reference)))
+                cond = max(cond, float(kappa.max()))
+    return "batched SE reference equivalence", worst <= 1e-10, f"max rel err {worst:.2e}, max cond {cond:.1e}"
 
 
 ALL_CHECKS = (

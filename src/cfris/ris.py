@@ -95,21 +95,17 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
     """Per-AP phase vectors, fixed for the whole network realization.
 
     mode "optimized" runs the power iteration on each AP's signal-strength
-    objective; "random" draws i.i.d. uniform phases; "identity" returns
-    all-ones. Depends only on long-term statistics, never on instantaneous
-    channels.
+    objective; "random" draws i.i.d. uniform phases. Depends only on
+    long-term statistics, never on instantaneous channels.
     """
     L, _, n = stats.H.shape
-    psi = np.ones((L, n), dtype=complex)
-    if mode == "identity":
-        return psi
     if mode == "random":
         if rng is None:
             raise ValueError("random mode needs an rng")
-        psi = np.exp(2j * np.pi * rng.uniform(size=(L, n)))
-        return psi
+        return np.exp(2j * np.pi * rng.uniform(size=(L, n)))
     if mode != "optimized":
         raise ValueError(f"unknown phase mode {mode!r}")
+    psi = np.ones((L, n), dtype=complex)
     for l, served in enumerate(assoc.served_sets):
         objective = build_objective([stats.R[k, l] for k in served], stats.H[l])
         if objective.neutral:

@@ -2,22 +2,28 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
+from cfris.association import Association
 from cfris.cli import main as cli_main
 from cfris.config import SimConfig, load_config
+from cfris.estimation import EffectiveStats
 from cfris.exceptions import ConfigError, ModelError
 from cfris.experiment import (
     SCENARIOS,
     ExperimentSpec,
     _run_setup,
+    block_batched_se,
     emit_report,
     front_channels,
     load_report,
     run_experiment,
 )
-from cfris.oracles import ALL_CHECKS
+from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -119,6 +125,78 @@ class TestRunExperiment:
         m = run_experiment(ExperimentSpec(cfg=cfg, combiner="mmse"))
         for name in SCENARIOS:
             assert m.se[name].mean() >= p.se[name].mean() - 1e-9
+
+
+class TestSeKernel:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        L=st.integers(1, 4),
+        K=st.integers(1, 6),
+        M=st.integers(1, 4),
+        tau_p=st.integers(1, 4),
+        spread_db=st.floats(0.0, 60.0),
+        ris=st.booleans(),
+        combiner=st.sampled_from(("pmmse", "mmse")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_on_random_drops(self, L, K, M, tau_p, spread_db, ris, combiner, seed):
+        # large-scale gains spread over up to 60 dB reach SINRs of 1e6 and more, where both
+        # paths lose digits: the tolerance is the benchmark's 1e-10 + 10 eps cond
+        cfg = SimConfig(L=L, K=K, M=M, N=4, tau_p=tau_p, ris_rows=2, ris_cols=2)
+        rng = np.random.default_rng(seed)
+        beta = 10 ** (rng.uniform(0.0, spread_db / 10, size=(K, L))) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, fronts = _equivalence_drop(rng, cfg, beta)
+        if K <= tau_p:
+            assert assoc.serving_matrix.all()   # one UE group
+        stats = EffectiveStats(r, fronts if ris else None, assoc.pilot_of, cfg)
+        fast, reference, cond = _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks=3)
+        assert np.all(np.abs(fast - reference) / reference <= 1e-10 + 10 * np.finfo(float).eps * cond)
+
+    def test_high_sinr_accuracy_against_40_digits(self):
+        # SINRs of 1e8 and more, where a combiner formed as the difference of two
+        # nearly equal vectors is off by about 1e-6 of the SE
+        cfg = SimConfig(L=3, K=4, M=2, N=4, tau_p=4, ris_rows=2, ris_cols=2)
+        L, K, m, blocks = 3, 4, 2, 2
+        rng = np.random.default_rng(5)
+        unit = cfg.noise_power_w / cfg.data_power_w
+        shape = (blocks, L, m, K)
+        ghat = np.sqrt(1e9 * unit / (2 * L * m)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x = rng.standard_normal((K, L, m, m)) + 1j * rng.standard_normal((K, L, m, m))
+        F = 1e-3 * unit * x @ x.conj().swapaxes(-1, -2) / m
+
+        class FixedBlocks:   # stands in for EffectiveStats: the blocks are ghat itself
+            def sample_pilot_statistics(self, rng, b):
+                return ghat[:b]
+
+            def effective_estimates(self, z):
+                return z
+
+        stats = FixedBlocks()
+        stats.K, stats.m, stats.F = K, m, F
+        assoc = Association(np.arange(K), np.zeros(K, dtype=int), np.ones((L, K), dtype=bool))
+        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
+
+        # every AP serves every UE, so both combiners are the full MMSE combiner
+        with mpmath.workdps(40):
+            eta, sigma2 = mpmath.mpf(cfg.data_power_w), mpmath.mpf(cfg.noise_power_w)
+            err_noise = sigma2 * mpmath.eye(L * m)
+            for i in range(K):
+                err_noise += eta * mpmath.matrix(block_diag(*F[i]).tolist())
+            total = [mpmath.mpf(0)] * K
+            for g in ghat:
+                cols = [mpmath.matrix(g[..., i].reshape(-1).tolist()) for i in range(K)]
+                sigma = err_noise.copy()
+                for c in cols:
+                    sigma += eta * c * c.H
+                for k in range(K):
+                    v = mpmath.lu_solve(sigma, cols[k])
+                    power = [eta * abs((v.H * c)[0]) ** 2 for c in cols]
+                    rest = mpmath.re((v.H * err_noise * v)[0])
+                    total[k] += mpmath.log(1 + power[k] / (sum(power) - power[k] + rest), 2)
+            exact = np.array([float(t / blocks) for t in total]) * (cfg.tau_c - cfg.tau_p) / cfg.tau_c
+
+        assert exact.min() > np.log2(1e7)
+        assert np.max(np.abs(fast - exact) / exact) <= 1e-9
 
 
 class TestReportMath:

@@ -137,12 +137,6 @@ class TestSelectLongTerm:
         )
         return ChannelStats(R, H), assoc, cfg
 
-    def test_identity_mode(self):
-        rng = np.random.default_rng(10)
-        stats, assoc, cfg = self.setup_stats(rng)
-        psi = select_long_term_config(stats, assoc, cfg, mode="identity")
-        assert np.array_equal(psi, np.ones((2, 4), dtype=complex))
-
     def test_random_mode(self):
         rng = np.random.default_rng(11)
         stats, assoc, cfg = self.setup_stats(rng)
