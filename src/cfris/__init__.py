@@ -16,7 +16,6 @@ from .exceptions import (
     ConfigError,
     DimensionError,
     ModelError,
-    SingularMatrixError,
 )
 from .experiment import (
     SCENARIOS,
@@ -26,7 +25,7 @@ from .experiment import (
     load_report,
     run_experiment,
 )
-from .linalg import HermitianEig, hermitian_eig, sample_complex_gaussian
+from .linalg import hermitian_eig, sample_complex_gaussian
 from .network import (
     ChannelStats,
     NetworkRealization,

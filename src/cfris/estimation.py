@@ -9,12 +9,16 @@ pilot sequence gives the identical quantity; a test guards the equivalence).
 
 import numpy as np
 
-from .exceptions import DimensionError, SingularMatrixError
+from .exceptions import DimensionError
 
 
 def effective_front(H_l, psi_l):
-    """E_l = H_l diag(psi_l) without forming the diagonal matrix."""
-    return np.asarray(H_l) * np.asarray(psi_l)[None, :]
+    """E_l = H_l diag(psi_l) without forming the diagonal matrix.
+
+    Broadcasts over leading axes: an (L, M, N) stack of fronts with (L, N)
+    phase vectors gives the (L, M, N) stack of effective fronts.
+    """
+    return np.asarray(H_l) * np.asarray(psi_l)[..., None, :]
 
 
 def effective_covariance(R_kl, front):
@@ -41,10 +45,7 @@ def mmse_estimate(z_kl, R_kl, front, gram, cfg):
     m = gram.shape[0]
     if z_kl.shape[0] != m:
         raise DimensionError(f"statistic length {z_kl.shape[0]} does not match gram dim {m}")
-    try:
-        x = np.linalg.solve(gram, z_kl)
-    except np.linalg.LinAlgError as exc:  # cannot occur with sigma^2 > 0
-        raise SingularMatrixError("pilot gram is singular") from exc
+    x = np.linalg.solve(gram, z_kl)
     back = x if front is None else front.conj().T @ x
     return np.sqrt(cfg.tau_p * cfg.pilot_power_w) * (R_kl @ back)
 
@@ -88,13 +89,17 @@ class EffectiveStats:
         self.chol_G = np.linalg.cholesky(self.G)
         self.Ginv = np.linalg.inv(self.G)
 
-        # Effective-estimate map: ghat_kl = W_kl z_{t(k),l}
-        ginv_per_ue = self.Ginv[self.pilot_of]              # (K, L, m, m)
-        q_ginv = self.Q @ ginv_per_ue
-        self.W = np.sqrt(tpp) * q_ginv
-        # Effective error covariance F_kl = Q - tpp Q Ginv Q
-        f = self.Q - tpp * (q_ginv @ self.Q)
+        q_ginv = self.Q @ self.Ginv[self.pilot_of]          # (K, L, m, m)
+        # Effective error covariance F_kl = Q Ginv (G - tpp Q_kl). G - tpp Q_kl
+        # is summed from the other co-pilot UEs, never subtracted: at high
+        # pilot SNR Q_kl dominates G and Q - tpp Q Ginv Q cancels.
+        copilot = (self.pilot_of[:, None] == self.pilot_of[None, :]) & ~np.eye(K, dtype=bool)
+        rest = np.tensordot(tpp * copilot, self.Q, axes=1)
+        rest += cfg.noise_power_w * eye
+        f = q_ginv @ rest
         self.F = 0.5 * (f + np.conj(np.swapaxes(f, -1, -2)))
+        # Effective-estimate map: ghat_kl = W_kl z_{t(k),l}
+        self.W = np.sqrt(tpp) * q_ginv
 
     def sample_pilot_statistics(self, rng, blocks):
         """Exact draws of z_{t,l} for a batch of coherence blocks.

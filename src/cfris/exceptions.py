@@ -17,9 +17,5 @@ class DimensionError(CfrisError):
     """Matrix/vector dimensions do not match the operation's contract."""
 
 
-class SingularMatrixError(CfrisError):
-    """A matrix that must be positive definite is numerically singular."""
-
-
 class ModelError(CfrisError):
     """A statistical model assumption is violated (e.g. non-PSD covariance)."""

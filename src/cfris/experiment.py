@@ -165,8 +165,7 @@ def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
                 mode=mode,
                 rng=_rng(cfg.seed, _TAG_PHASES, setup_idx, scen_id),
             )
-            eff = np.stack([effective_front(fronts[l], psi[l]) for l in range(cfg.L)])
-            stats = EffectiveStats(r_grid, eff, assoc.pilot_of, cfg)
+            stats = EffectiveStats(r_grid, effective_front(fronts, psi), assoc.pilot_of, cfg)
         rng_blocks = _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id)
         out[j] = block_batched_se(stats, assoc, cfg, rng_blocks, combiner=combiner)
         bad = np.flatnonzero(~np.isfinite(out[j]))

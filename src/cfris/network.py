@@ -113,25 +113,13 @@ def _gauss_hermite_nodes(std_rad):
     return np.sqrt(2.0) * std_rad * nodes, weights / np.sqrt(np.pi)
 
 
-def steering_vector(element_positions, azimuth, elevation, wavelength):
-    """Narrowband array response for a plane wave from (azimuth, elevation)."""
-    k = (2.0 * np.pi / wavelength) * np.array(
-        [
-            np.cos(elevation) * np.cos(azimuth),
-            np.cos(elevation) * np.sin(azimuth),
-            np.sin(elevation),
-        ]
-    )
-    return np.exp(1j * element_positions @ k)
-
-
 def build_spatial_correlation(ue_pos, ap_pos, beta, cfg, element_positions):
     """Correlation matrix R = beta * Sigma with unit-diagonal Sigma.
 
     Gaussian local scattering over azimuth and elevation around the nominal
-    UE direction, integrated with Gauss-Hermite quadrature. An angular
-    spread of zero collapses to the rank-one steering outer product; the
-    "white" model returns beta * I.
+    UE direction, integrated with Gauss-Hermite quadrature. At an angular
+    spread of zero every node lies on the nominal direction, so the sum is
+    the rank-one steering outer product; the "white" model returns beta * I.
     """
     n = element_positions.shape[0]
     if cfg.correlation_model == "white":
@@ -142,9 +130,6 @@ def build_spatial_correlation(ue_pos, ap_pos, beta, cfg, element_positions):
     azimuth = np.arctan2(dy, dx)
     elevation = np.arctan2(-cfg.ap_height_m, d2d)
     lam = cfg.wavelength_m
-    if cfg.angular_spread_deg == 0.0:
-        a = steering_vector(element_positions, azimuth, elevation, lam)
-        return beta * np.outer(a, a.conj())
     std = np.deg2rad(cfg.angular_spread_deg)
     offsets, weights = _gauss_hermite_nodes(std)
     az = azimuth + offsets[:, None]          # (q, q) azimuth x elevation grid

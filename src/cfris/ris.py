@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig  # unused here; perfbench/spans.py wraps ris.hermitian_eig
 
 DEFAULT_ITERATIONS = 100
 RELATIVE_GAIN_EXIT = 1e-8
@@ -24,29 +24,21 @@ class SignalStrengthObjective:
 
     B: np.ndarray          # sum of served-UE correlation matrices (N x N)
     A: np.ndarray          # lifted objective matrix (N x N PSD)
-    neutral: bool = False  # True when the AP serves nobody
 
 
 def build_objective(served_R, H_l):
     """Assemble B_l and A_l from the served UEs' correlation matrices.
 
-    A_l is built from the eigendecomposition of B_l, summing
-    lambda_n diag(u_n^*) H^H H diag(u_n) over all eigenpairs.
+    A_l = (H^H H) elementwise-times conj(B_l), which is entry by entry the
+    eigen-sum sum_n lambda_n diag(u_n^*) H^H H diag(u_n); by the Schur
+    product theorem it is PSD. No served UE gives B_l = A_l = 0.
     """
     n = H_l.shape[1]
-    served_R = list(served_R)
-    if not served_R:
-        zero = np.zeros((n, n), dtype=complex)
-        return SignalStrengthObjective(zero, zero.copy(), neutral=True)
     B = np.zeros((n, n), dtype=complex)
     for r in served_R:
         B += r
     B = 0.5 * (B + B.conj().T)
-    eig = hermitian_eig(B)
-    gram = H_l.conj().T @ H_l
-    # sum_n lambda_n diag(u_n^*) gram diag(u_n), vectorized over eigenpairs
-    u = eig.eigenvectors
-    A = gram * ((u.conj() * eig.eigenvalues) @ u.T)
+    A = (H_l.conj().T @ H_l) * B.conj()
     return SignalStrengthObjective(B, 0.5 * (A + A.conj().T))
 
 
@@ -96,7 +88,8 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
 
     mode "optimized" runs the power iteration on each AP's signal-strength
     objective; "random" draws i.i.d. uniform phases. Depends only on
-    long-term statistics, never on instantaneous channels.
+    long-term statistics, never on instantaneous channels. An AP that serves
+    nobody has A = 0, so the iteration returns its all-ones start.
     """
     L, _, n = stats.H.shape
     if mode == "random":
@@ -105,10 +98,8 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
         return np.exp(2j * np.pi * rng.uniform(size=(L, n)))
     if mode != "optimized":
         raise ValueError(f"unknown phase mode {mode!r}")
-    psi = np.ones((L, n), dtype=complex)
+    psi = np.empty((L, n), dtype=complex)
     for l, served in enumerate(assoc.served_sets):
         objective = build_objective([stats.R[k, l] for k in served], stats.H[l])
-        if objective.neutral:
-            continue
         psi[l] = constrained_power_iteration(objective.A)
     return psi

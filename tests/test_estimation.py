@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -251,6 +252,28 @@ class TestEffectiveStats:
             for l in range(2):
                 c = error_covariance(R[k, l], f[l], stats.G[pilot_of[k], l], cfg)
                 assert np.allclose(stats.F[k, l], f[l] @ c @ f[l].conj().T, rtol=1e-8)
+
+    def test_f_against_40_digits_at_high_pilot_snr(self):
+        # UEs 0 and 1 share pilot 0; at pilot SNRs of 1e8 and 1e7 the direct
+        # form Q - tpp Q G^-1 Q cancels to well above 1e-12 of F
+        cfg = SimConfig(L=1, K=3, M=3, N=3, tau_p=2, ris_rows=1, ris_cols=3)
+        tpp = cfg.tau_p * cfg.pilot_power_w
+        rng = np.random.default_rng(0)
+        R = np.stack(
+            [random_psd(rng, 3, cfg.noise_power_w * snr / tpp) for snr in (1e8, 1e2, 1e7)]
+        )[:, None]
+        front = (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))) / np.sqrt(2.0)
+        pilot_of = np.array([0, 0, 1])
+        stats = EffectiveStats(R, front, pilot_of, cfg)
+        with mpmath.workdps(40):
+            Q = [mpmath.matrix(stats.Q[k, 0].tolist()) for k in range(3)]
+            for k in range(3):
+                gram = mpmath.mpf(cfg.noise_power_w) * mpmath.eye(3)
+                for i in np.flatnonzero(pilot_of == pilot_of[k]):
+                    gram += tpp * Q[i]
+                exact = Q[k] - tpp * Q[k] * mpmath.inverse(gram) * Q[k]
+                diff = mpmath.matrix(stats.F[k, 0].tolist()) - exact
+                assert mpmath.mnorm(diff, "F") <= 1e-12 * mpmath.mnorm(exact, "F")
 
     def test_no_front_dimensions(self):
         stats, R, _, _, _ = self.build(fronts=False)

@@ -11,7 +11,6 @@ from cfris.network import (
     pathloss_beta,
     ris_grid_positions,
     spatial_correlation_matrices,
-    steering_vector,
 )
 
 
@@ -131,17 +130,6 @@ class TestGeometry:
         pos = active_array_positions(cfg, x_offset=0.25)
         assert np.all(pos[:, 0] == 0.25)
 
-    def test_steering_vector_unit_modulus(self):
-        cfg = SimConfig()
-        a = steering_vector(ris_grid_positions(cfg), 0.3, -0.2, cfg.wavelength_m)
-        assert np.allclose(np.abs(a), 1.0)
-
-    def test_steering_vector_broadside(self):
-        # a wave along +x hits the x=0 grid in phase everywhere
-        cfg = SimConfig()
-        a = steering_vector(ris_grid_positions(cfg), 0.0, 0.0, cfg.wavelength_m)
-        assert np.allclose(a, 1.0)
-
 
 class TestSpatialCorrelation:
     def test_white_model(self):
@@ -159,6 +147,13 @@ class TestSpatialCorrelation:
         eigs = np.sort(np.linalg.eigvalsh(r))
         assert eigs[-1] == pytest.approx(4.0, rel=1e-10)
         assert np.all(np.abs(eigs[:-1]) < 1e-10)
+        # broadside: a UE on the AP's +x axis at AP height 0 hits the x=0
+        # grid in phase everywhere, so R = beta * ones
+        cfg = small_cfg(angular_spread_deg=0.0, ap_height_m=0.0)
+        r = build_spatial_correlation(
+            np.array([100.0, 0.0]), np.array([0.0, 0.0]), 2.5, cfg, ris_grid_positions(cfg)
+        )
+        assert np.allclose(r, 2.5 * np.ones((4, 4)), rtol=1e-12, atol=0)
 
     def test_hermitian_psd_with_beta_diagonal(self):
         cfg = small_cfg()

@@ -33,12 +33,16 @@ class TestBuildObjective:
             assert lifted == pytest.approx(direct, rel=1e-10)
 
     def test_hadamard_identity(self):
-        # independent oracle: A equals (H^H H) elementwise-times conj(B)
+        # independent oracle: the eigen-sum sum_n lambda_n diag(u_n^*) H^H H diag(u_n)
         rng = np.random.default_rng(1)
         h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         b = random_psd(rng, 6)
         obj = build_objective([b], h)
-        expected = (h.conj().T @ h) * b.conj()
+        gram = h.conj().T @ h
+        vals, vecs = np.linalg.eigh(b)
+        expected = sum(
+            lam * np.diag(u.conj()) @ gram @ np.diag(u) for lam, u in zip(vals, vecs.T)
+        )
         assert np.allclose(obj.A, expected, rtol=1e-10)
 
     def test_a_hermitian_psd(self):
@@ -54,12 +58,10 @@ class TestBuildObjective:
         r1, r2 = random_psd(rng, 4), random_psd(rng, 4)
         obj = build_objective([r1, r2], h)
         assert np.allclose(obj.B, r1 + r2)
-        assert not obj.neutral
 
     def test_empty_served_is_neutral(self):
         h = np.ones((2, 4), dtype=complex)
         obj = build_objective([], h)
-        assert obj.neutral
         assert np.array_equal(obj.A, np.zeros((4, 4)))
 
 
