@@ -2,9 +2,10 @@
 
 Everything is expressed through the effective front matrix E_l = H_l Psi_l
 (the array response seen through the configured surface); the conventional
-no-RIS receiver is the special case E_l = I. The per-pilot sufficient
-statistic is simulated directly (correlating the full pilot matrix with the
-pilot sequence gives the identical quantity; a test guards the equivalence).
+no-RIS receiver is the special case E_l = I. The batched bank simulates the
+per-pilot sufficient statistic z_tl ~ CN(0, G_tl) in whitened form: it draws
+w ~ CN(0, I) and maps it to each UE's estimate through one matrix, since
+z = L w with G = L L^H.
 """
 
 import numpy as np
@@ -60,17 +61,18 @@ def error_covariance(R_kl, front, gram, cfg):
 class EffectiveStats:
     """Per-realization estimator bank shared by all coherence blocks.
 
-    Precomputes the effective covariances Q_kl, per-(pilot, AP) Grams with
-    their Cholesky factors, the linear estimator maps for the effective
-    estimates, and the effective error covariances. All members are
-    immutable after construction.
+    Precomputes the effective covariances Q_kl, the per-(pilot, AP) Grams
+    G_tl = L_tl L_tl^H, one estimator map T_kl = sqrt(tau_p rho_p) Q_kl
+    L_tl^-H per UE with t = t(k), and the effective error covariances F_kl.
+    Blocks draw the whitened statistic w_tl = L_tl^-1 z_tl ~ CN(0, I), so
+    ghat_kl = T_kl w_tl is the MMSE estimate sqrt(tau_p rho_p) Q_kl G_tl^-1
+    z_tl. All members are immutable after construction.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
         K, L, n, _ = R.shape
         m = n if fronts is None else fronts.shape[1]
-        tau_p = cfg.tau_p
-        tpp = tau_p * cfg.pilot_power_w
+        tpp = cfg.tau_p * cfg.pilot_power_w
         self.K, self.L, self.m = K, L, m
         self.pilot_of = np.asarray(pilot_of)
 
@@ -80,41 +82,36 @@ class EffectiveStats:
             fh = fronts.conj().swapaxes(-1, -2)
             self.Q = (fronts[None] @ R) @ fh[None]
 
-        eye = np.eye(m)
-        self.G = np.empty((tau_p, L, m, m), dtype=complex)
-        for t in range(tau_p):
-            users = np.where(self.pilot_of == t)[0]
-            g = tpp * self.Q[users].sum(axis=0) if users.size else np.zeros((L, m, m), dtype=complex)
-            self.G[t] = g + cfg.noise_power_w * eye
-        self.chol_G = np.linalg.cholesky(self.G)
-        self.Ginv = np.linalg.inv(self.G)
-
-        q_ginv = self.Q @ self.Ginv[self.pilot_of]          # (K, L, m, m)
-        # Effective error covariance F_kl = Q Ginv (G - tpp Q_kl). G - tpp Q_kl
-        # is summed from the other co-pilot UEs, never subtracted: at high
-        # pilot SNR Q_kl dominates G and Q - tpp Q Ginv Q cancels.
-        copilot = (self.pilot_of[:, None] == self.pilot_of[None, :]) & ~np.eye(K, dtype=bool)
+        noise = cfg.noise_power_w * np.eye(m)
+        onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
+        self.G = np.tensordot(tpp * onehot, self.Q, axes=1)
+        self.G += noise
+        linv = np.linalg.inv(np.linalg.cholesky(self.G))[self.pilot_of]   # L_{t(k),l}^-1, (K, L, m, m)
+        q_lh = self.Q @ linv.conj().swapaxes(-1, -2)
+        # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
+        # G - tpp Q_kl is summed from the other co-pilot UEs, never
+        # subtracted: at high pilot SNR Q_kl dominates G and the difference
+        # cancels.
+        copilot = onehot.T @ onehot - np.eye(K)
         rest = np.tensordot(tpp * copilot, self.Q, axes=1)
-        rest += cfg.noise_power_w * eye
-        f = q_ginv @ rest
+        rest += noise
+        f = q_lh @ (linv @ rest)
         self.F = 0.5 * (f + np.conj(np.swapaxes(f, -1, -2)))
-        # Effective-estimate map: ghat_kl = W_kl z_{t(k),l}
-        self.W = np.sqrt(tpp) * q_ginv
+        self.T = np.sqrt(tpp) * q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
-        """Exact draws of z_{t,l} for a batch of coherence blocks.
+        """White draws w ~ CN(0, I) for a batch of coherence blocks.
 
-        z is jointly Gaussian and independent across (pilot, AP), so it is
-        sampled from its marginal CN(0, G_{t,l}); shape (blocks, tau_p, L, m).
+        w_tl = L_tl^-1 z_tl is the whitened sufficient statistic of pilot t
+        at AP l, independent across (pilot, AP); shape (blocks, tau_p, L, m).
         """
         shape = (blocks,) + self.G.shape[:2] + (self.m,)
-        w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return np.einsum("tlmn,btln->btlm", self.chol_G, w)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
-    def effective_estimates(self, z):
-        """ghat[b, l, :, k] = W_kl z[b, t(k), l]; shape (blocks, L, m, K)."""
-        blocks = z.shape[0]
+    def effective_estimates(self, w):
+        """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K)."""
+        blocks = w.shape[0]
         ghat = np.empty((blocks, self.L, self.m, self.K), dtype=complex)
         for k in range(self.K):
-            ghat[..., k] = np.einsum("lmn,bln->blm", self.W[k], z[:, self.pilot_of[k]])
+            ghat[..., k] = np.einsum("lmn,bln->blm", self.T[k], w[:, self.pilot_of[k]])
         return ghat

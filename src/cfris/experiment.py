@@ -181,18 +181,12 @@ def run_experiment(spec):
     needs_fronts = bool({"ris_optimized", "ris_random"} & set(scenarios))
     fronts = front_channels(cfg) if needs_fronts else None
 
-    se = np.empty((len(scenarios), cfg.mc_setups, cfg.K))
-
     def worker(setup_idx):
-        return setup_idx, _run_setup(cfg, scenarios, spec.combiner, fronts, setup_idx)
+        return _run_setup(cfg, scenarios, spec.combiner, fronts, setup_idx)
 
-    if spec.threads > 1 and cfg.mc_setups > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            for setup_idx, result in pool.map(worker, range(cfg.mc_setups)):
-                se[:, setup_idx] = result
-    else:
-        for setup_idx in range(cfg.mc_setups):
-            se[:, setup_idx] = worker(setup_idx)[1]
+    # map re-raises the first failing setup's error and cancels the pending ones
+    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+        se = np.stack(list(pool.map(worker, range(cfg.mc_setups))), axis=1)   # (n_scen, setups, K)
 
     report = SeReport(
         scenarios=scenarios,

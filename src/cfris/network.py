@@ -9,6 +9,7 @@ evaluated on the element grid.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -69,42 +70,29 @@ def generate_realization(cfg, rng):
     return NetworkRealization(ap_positions, ue_positions, beta, shadowing_db)
 
 
+def _lattice(rows, cols, cfg, x):
+    """Centred rows x cols grid in the y-z plane at depth x, row by row; shape (rows*cols, 3)."""
+    spacing = cfg.element_spacing * cfg.wavelength_m
+    yy, zz = np.meshgrid(
+        (np.arange(cols) - (cols - 1) / 2.0) * spacing,
+        (np.arange(rows) - (rows - 1) / 2.0) * spacing,
+    )
+    return np.stack([np.full(yy.size, float(x)), yy.ravel(), zz.ravel()], axis=1)
+
+
 def ris_grid_positions(cfg):
     """RIS element positions (N, 3), planar grid in the y-z plane at x=0."""
-    lam = cfg.wavelength_m
-    spacing = cfg.element_spacing * lam
-    rows = np.arange(cfg.ris_rows) - (cfg.ris_rows - 1) / 2.0
-    cols = np.arange(cfg.ris_cols) - (cfg.ris_cols - 1) / 2.0
-    yy, zz = np.meshgrid(cols * spacing, rows * spacing, indexing="xy")
-    pos = np.zeros((cfg.N, 3))
-    pos[:, 1] = yy.ravel()
-    pos[:, 2] = zz.ravel()
-    return pos
+    return _lattice(cfg.ris_rows, cfg.ris_cols, cfg, 0.0)
 
 
-def active_array_positions(cfg, m=None, x_offset=0.0):
-    """Active-antenna positions (m, 3), centered, parallel to the RIS plane."""
-    if m is None:
-        m = cfg.M
-    lam = cfg.wavelength_m
-    spacing = cfg.element_spacing * lam
-    pos = np.zeros((m, 3))
-    if cfg.array_geometry == "linear":
-        pos[:, 1] = (np.arange(m) - (m - 1) / 2.0) * spacing
-    else:
-        rows = int(np.floor(np.sqrt(m)))
-        while m % rows:
-            rows -= 1
-        cols = m // rows
-        yy, zz = np.meshgrid(
-            (np.arange(cols) - (cols - 1) / 2.0) * spacing,
-            (np.arange(rows) - (rows - 1) / 2.0) * spacing,
-            indexing="xy",
-        )
-        pos[:, 1] = yy.ravel()
-        pos[:, 2] = zz.ravel()
-    pos[:, 0] = x_offset
-    return pos
+def active_array_positions(cfg, x_offset=0.0):
+    """Active-antenna positions (M, 3), centered, parallel to the RIS plane.
+
+    A planar array takes the largest divisor of M not above sqrt(M) as its row count.
+    """
+    m = cfg.M
+    rows = 1 if cfg.array_geometry == "linear" else max(d for d in range(1, isqrt(m) + 1) if m % d == 0)
+    return _lattice(rows, m // rows, cfg, x_offset)
 
 
 @lru_cache(maxsize=8)

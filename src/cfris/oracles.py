@@ -224,8 +224,8 @@ def _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks):
     """Per-UE SE of the batched kernel and of the reference chain on the same pilot draws, and
     per UE the largest condition number of the system the reference combiner solves."""
     fast = block_batched_se(stats, assoc, cfg, np.random.default_rng(1234), combiner, n_blocks)
-    z = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
-    ghat_all = np.moveaxis(stats.effective_estimates(z), -1, 1)   # (b, K, L, m)
+    w = stats.sample_pilot_statistics(np.random.default_rng(1234), n_blocks)
+    ghat_all = np.moveaxis(stats.effective_estimates(w), -1, 1)   # (b, K, L, m)
     combine = pmmse_combiner if combiner == "pmmse" else mmse_combiner
     F, eta = stats.F, np.full(stats.K, cfg.data_power_w)
     reference, cond = np.empty(stats.K), np.empty(stats.K)

@@ -239,11 +239,13 @@ class TestEffectiveStats:
     def test_estimator_map_matches_mmse_estimate(self):
         stats, R, f, pilot_of, cfg = self.build()
         rng = np.random.default_rng(12)
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         for k in range(3):
             for l in range(2):
-                effective = stats.W[k, l] @ z
-                reference = f[l] @ mmse_estimate(z, R[k, l], f[l], stats.G[pilot_of[k], l], cfg)
+                gram = stats.G[pilot_of[k], l]
+                z = np.linalg.cholesky(gram) @ w
+                effective = stats.T[k, l] @ w
+                reference = f[l] @ mmse_estimate(z, R[k, l], f[l], gram, cfg)
                 assert np.allclose(effective, reference, rtol=1e-9)
 
     def test_f_matches_error_covariance(self):
@@ -280,23 +282,35 @@ class TestEffectiveStats:
         assert stats.m == 4
         assert np.allclose(stats.Q, R)
 
-    def test_sampled_statistic_covariance(self):
-        stats, *_ = self.build()
-        z = stats.sample_pilot_statistics(np.random.default_rng(13), 40_000)
-        assert z.shape == (40_000, 2, 2, 2)
-        for t in range(2):
-            for l in range(2):
-                s = z[:, t, l]
-                cov = s.T @ s.conj() / s.shape[0]
-                assert np.linalg.norm(cov - stats.G[t, l]) <= 0.03 * np.linalg.norm(stats.G[t, l])
+    def test_estimate_moments(self):
+        # E[ghat_k ghat_i^H] = tpp Q_k G^-1 Q_i for co-pilot UEs k, i and 0 otherwise
+        stats, _, _, pilot_of, cfg = self.build()
+        tpp = cfg.tau_p * cfg.pilot_power_w
+        w = stats.sample_pilot_statistics(np.random.default_rng(13), 100_000)
+        assert w.shape == (100_000, 2, 2, 2)
+        ghat = stats.effective_estimates(w)
+        for l in range(2):
+            for k in range(3):
+                for i in range(3):
+                    cov = ghat[:, l, :, k].T @ ghat[:, l, :, i].conj() / w.shape[0]
+                    expected = np.zeros((2, 2), dtype=complex)
+                    if pilot_of[k] == pilot_of[i]:
+                        gram = stats.G[pilot_of[k], l]
+                        expected = tpp * stats.Q[k, l] @ np.linalg.solve(gram, stats.Q[i, l])
+                        t_t = stats.T[k, l] @ stats.T[i, l].conj().T
+                        assert np.linalg.norm(t_t - expected) <= 1e-10 * np.linalg.norm(expected)
+                    scale = np.sqrt(
+                        np.linalg.norm(stats.Q[k, l] - stats.F[k, l]) * np.linalg.norm(stats.Q[i, l] - stats.F[i, l])
+                    )
+                    assert np.linalg.norm(cov - expected) <= 0.03 * scale
 
     def test_estimates_shape_and_map(self):
         stats, *_ = self.build()
-        z = stats.sample_pilot_statistics(np.random.default_rng(14), 3)
-        ghat = stats.effective_estimates(z)
+        w = stats.sample_pilot_statistics(np.random.default_rng(14), 3)
+        ghat = stats.effective_estimates(w)
         assert ghat.shape == (3, 2, 2, 3)
         b, l, k = 1, 0, 2
-        expected = stats.W[k, l] @ z[b, stats.pilot_of[k], l]
+        expected = stats.T[k, l] @ w[b, stats.pilot_of[k], l]
         assert np.allclose(ghat[b, l, :, k], expected)
 
     def test_sampling_deterministic(self):

@@ -349,6 +349,14 @@ class TestCli:
         assert code == 0
         assert out.count("[PASS]") == len(ALL_CHECKS)
 
+    def test_runtime_imports_no_scipy(self):
+        # scipy is a test dependency only: the package, its CLI and the oracles run without it
+        code = "import sys, cfris, cfris.cli, cfris.oracles; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip() == "[]"
+
 
 def test_benchmark_smoke_suite_passes():
     # the benchmark patches and calls library functions by name; a rename or

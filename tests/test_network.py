@@ -119,7 +119,7 @@ class TestGeometry:
 
     def test_planar_array_positions(self):
         cfg = small_cfg(M=4, array_geometry="planar")
-        pos = active_array_positions(cfg, m=4)
+        pos = active_array_positions(cfg)
         # 2x2 grid, centered
         assert np.allclose(pos.mean(axis=0), 0.0, atol=1e-12)
         assert len(np.unique(np.round(pos[:, 1], 9))) == 2
