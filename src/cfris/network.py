@@ -5,6 +5,12 @@ constant near-field channel: free-space LOS entries plus a column-wise NLOS
 component, rescaled so every column has unit Euclidean norm. UE-to-RIS
 channels are correlated Rayleigh with Gaussian local-scattering correlation
 evaluated on the element grid.
+
+Both element sets (the RIS grid and the active array) are uniform y-z
+lattices, so R_kl[i, j] depends only on the integer offset of element i
+from element j: ``spatial_correlation_matrices`` builds one table over the
+offsets per (UE, AP) pair, batched over APs, and gathers every R_kl from
+it. ``build_spatial_correlation`` is the per-pair reference.
 """
 
 from dataclasses import dataclass
@@ -97,8 +103,12 @@ def active_array_positions(cfg, x_offset=0.0):
 
 @lru_cache(maxsize=8)
 def _gauss_hermite_nodes(std_rad):
+    """Angle offsets and weights of the quadrature; read-only, since every caller shares them."""
     nodes, weights = np.polynomial.hermite.hermgauss(_GH_POINTS)
-    return np.sqrt(2.0) * std_rad * nodes, weights / np.sqrt(np.pi)
+    offsets, weights = np.sqrt(2.0) * std_rad * nodes, weights / np.sqrt(np.pi)
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 def build_spatial_correlation(ue_pos, ap_pos, beta, cfg, element_positions):
@@ -135,15 +145,74 @@ def build_spatial_correlation(ue_pos, ap_pos, beta, cfg, element_positions):
     return beta * ((a * w) @ a.conj().T)
 
 
+def _lattice_indices(element_positions, cfg):
+    """Integer (row, col) lattice index of each element, counted from the lowest one.
+
+    Raises ValueError unless the elements lie on one y-z lattice of pitch
+    element_spacing * wavelength at a common depth x.
+    """
+    spacing = cfg.element_spacing * cfg.wavelength_m
+    steps = (element_positions[:, 1:] - element_positions[:, 1:].min(axis=0)) / spacing
+    index = np.rint(steps).astype(int)
+    if np.ptp(element_positions[:, 0]) > 1e-9 * spacing or np.abs(steps - index).max() > 1e-6:
+        raise ValueError("element positions must form one y-z lattice of the element spacing at a common depth")
+    return index[:, 1], index[:, 0]
+
+
 def spatial_correlation_matrices(real, cfg, element_positions):
-    """Stack R_kl for all (UE, AP) pairs; shape (K, L, n, n)."""
+    """Stack R_kl for all (UE, AP) pairs; shape (K, L, n, n).
+
+    Same model as ``build_spatial_correlation``. With alpha = 2 pi d / lambda
+    for lattice pitch d, the phase difference between two elements is
+    alpha * (dc * ky + dr * kz) for integer offsets (dr, dc), and kz depends
+    on the elevation node only. Per UE, for all APs at once, u = exp(j alpha
+    ky) and v = exp(j alpha kz) give every offset as an integer power:
+    T[dc, dr] = sum_e w_e v_e^dr sum_a w_a u_ae^dc for dc >= 0, and
+    T[-dc, -dr] = conj T[dc, dr]. Each R_kl is beta_kl * T gathered at the
+    element pairs' offsets.
+    """
     n = element_positions.shape[0]
-    R = np.empty((cfg.K, cfg.L, n, n), dtype=complex)
-    for k in range(cfg.K):
-        for l in range(cfg.L):
-            R[k, l] = build_spatial_correlation(
-                real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, element_positions
-            )
+    K, L = real.beta.shape
+    if cfg.correlation_model == "white":
+        R = np.zeros((K, L, n, n), dtype=complex)
+        R[..., np.arange(n), np.arange(n)] = real.beta[..., None]
+        return R
+    row, col = _lattice_indices(element_positions, cfg)
+    rows, cols = row.max() + 1, col.max() + 1
+    # flat index of each pair's offset in the (2 cols - 1, 2 rows - 1) table
+    flat = (col[:, None] - col[None, :] + cols - 1) * (2 * rows - 1) + (row[:, None] - row[None, :] + rows - 1)
+    offsets, weights = _gauss_hermite_nodes(np.deg2rad(cfg.angular_spread_deg))
+    alpha = 2.0 * np.pi * cfg.element_spacing
+    delta = real.ue_positions[:, None, :] - real.ap_positions[None, :, :]     # (K, L, 2)
+    azimuth = np.arctan2(delta[..., 1], delta[..., 0])
+    elevation = np.arctan2(-cfg.ap_height_m, np.maximum(np.hypot(delta[..., 0], delta[..., 1]), cfg.min_distance_m))
+    R = np.empty((K, L, n, n), dtype=complex)
+    table = np.empty((L, 2 * cols - 1, 2 * rows - 1), dtype=complex)
+    for k in range(K):
+        el = elevation[k, :, None] + offsets                                   # (L, q) elevation nodes
+        az = azimuth[k, :, None, None] + offsets[:, None]                      # (L, q, 1) azimuth nodes
+        phase = np.cos(el)[:, None, :] * np.sin(az)                            # ky, (L, q_az, q_el)
+        phase *= alpha
+        # u = exp(j phase) written in place; a complex temporary here raised dense peak RSS by 1 MB
+        u = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=u.real)
+        np.sin(phase, out=u.imag)
+        power = np.ones_like(u)
+        col_sums = np.empty((L, cols, offsets.size), dtype=complex)            # w_e sum_a w_a u^dc
+        for dc in range(cols):
+            col_sums[:, dc] = weights @ power
+            power *= u
+        col_sums *= weights
+        v = np.exp(1j * alpha * np.sin(el))                                    # (L, q_el)
+        v_powers = np.empty((L, offsets.size, 2 * rows - 1), dtype=complex)   # v^dr, dr = 1 - rows .. rows - 1
+        v_powers[..., rows - 1] = 1.0
+        for dr in range(rows, 2 * rows - 1):
+            v_powers[..., dr] = v_powers[..., dr - 1] * v
+        v_powers[..., :rows - 1] = v_powers[..., :rows - 1:-1].conj()         # dr < 0 from dr > 0
+        table[:, cols - 1:] = col_sums @ v_powers                              # dc >= 0
+        table[:, :cols - 1] = table[:, :cols - 1:-1, ::-1].conj()              # dc < 0 from dc > 0
+        # flat lies in range by construction; "clip" skips the copy that "raise" buffers out= through
+        np.take((real.beta[k, :, None, None] * table).reshape(L, -1), flat, axis=1, out=R[k], mode="clip")
     return R
 
 

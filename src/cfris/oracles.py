@@ -17,7 +17,8 @@ from .config import SimConfig
 from .estimation import EffectiveStats, effective_covariance, error_covariance, pilot_gram
 from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
-from .network import NetworkRealization
+from .network import (NetworkRealization, active_array_positions, build_spatial_correlation, generate_realization,
+                      ris_grid_positions, spatial_correlation_matrices)
 from .receiver import (_restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner,
                        rayleigh_quotient_sinr, spectral_efficiency)
 from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
@@ -256,11 +257,33 @@ def check_fast_path_equivalence(rng):
     return "batched SE reference equivalence", worst <= 1e-10, f"max rel err {worst:.2e}, max cond {cond:.1e}"
 
 
+def correlation_build_error(real, cfg, element_positions):
+    """Largest relative Frobenius deviation of the batched correlation build from the per-pair one."""
+    batched = spatial_correlation_matrices(real, cfg, element_positions)
+    worst = 0.0
+    for k, l in np.ndindex(real.beta.shape):
+        reference = build_spatial_correlation(
+            real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, element_positions)
+        worst = max(worst, np.linalg.norm(batched[k, l] - reference) / np.linalg.norm(reference))
+    return worst
+
+
+def check_correlation_build_equivalence(rng):
+    """Batched correlation build equals the per-pair reference on a random drop, for the RIS grid
+    and for a planar AP array."""
+    cfg = SimConfig(L=6, K=5, M=6, array_geometry="planar")
+    real = generate_realization(cfg, rng)
+    worst = max(correlation_build_error(real, cfg, elements)
+                for elements in (ris_grid_positions(cfg), active_array_positions(cfg)))
+    return "correlation build reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
+
+
 ALL_CHECKS = (
     check_estimation_suite,
     check_optimizer_suite,
     check_receiver_suite,
     check_fast_path_equivalence,
+    check_correlation_build_equivalence,
 )
 
 

@@ -55,6 +55,7 @@ class TestValidation:
             ("area_side_m", float("nan")),
             ("pilot_power_mw", float("inf")),
             ("ap_height_m", float("-inf")),
+            ("ap_height_m", -5.0),
             ("carrier_frequency_hz", 0.0),
             ("element_spacing", 0.0),
             ("shadowing_decorrelation_m", 0.0),

@@ -3,6 +3,8 @@ import pytest
 
 from cfris.config import SimConfig
 from cfris.network import (
+    NetworkRealization,
+    _gauss_hermite_nodes,
     active_array_positions,
     build_ap_ris_channel,
     build_spatial_correlation,
@@ -12,12 +14,18 @@ from cfris.network import (
     ris_grid_positions,
     spatial_correlation_matrices,
 )
+from cfris.oracles import correlation_build_error
 
 
 def small_cfg(**kw):
     base = dict(L=3, K=4, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
     base.update(kw)
     return SimConfig(**base)
+
+
+def single_pair(ue_pos, ap_pos, beta):
+    """A drop of one UE and one AP, for comparing the batched build with a per-pair call."""
+    return NetworkRealization(ap_pos[None], ue_pos[None], np.array([[beta]]), np.zeros((1, 1)))
 
 
 class TestPathloss:
@@ -158,12 +166,13 @@ class TestSpatialCorrelation:
     def test_hermitian_psd_with_beta_diagonal(self):
         cfg = small_cfg()
         beta = 3.7e-9
-        r = build_spatial_correlation(
-            np.array([200.0, -40.0]), np.array([10.0, 5.0]), beta, cfg, ris_grid_positions(cfg)
-        )
-        assert np.allclose(r, r.conj().T)
-        assert np.allclose(np.diag(r).real, beta, rtol=1e-12)
-        assert np.min(np.linalg.eigvalsh(r)) >= -1e-12 * beta
+        ue, ap = np.array([200.0, -40.0]), np.array([10.0, 5.0])
+        per_pair = build_spatial_correlation(ue, ap, beta, cfg, ris_grid_positions(cfg))
+        batched = spatial_correlation_matrices(single_pair(ue, ap, beta), cfg, ris_grid_positions(cfg))[0, 0]
+        for r in (per_pair, batched):
+            assert np.allclose(r, r.conj().T)
+            assert np.allclose(np.diag(r).real, beta, rtol=1e-12)
+            assert np.min(np.linalg.eigvalsh(r)) >= -1e-12 * beta
 
     def test_matches_numerical_integration(self):
         # independent oracle: brute-force double integral of the Gaussian
@@ -174,7 +183,8 @@ class TestSpatialCorrelation:
         elements = ris_grid_positions(cfg)
         ue = np.array([120.0, 80.0])
         ap = np.array([20.0, 30.0])
-        r = build_spatial_correlation(ue, ap, 1.0, cfg, elements)
+        per_pair = build_spatial_correlation(ue, ap, 1.0, cfg, elements)
+        batched = spatial_correlation_matrices(single_pair(ue, ap, 1.0), cfg, elements)[0, 0]
 
         dx, dy = ue - ap
         azimuth = np.arctan2(dy, dx)
@@ -197,8 +207,8 @@ class TestSpatialCorrelation:
         outer = a[:, None] * a.conj()[None, :]               # (4, 4, n_az, n_el)
         weighted = outer * (pdf[:, None] * pdf[None, :])
         expected = simpson(simpson(weighted, x=grid, axis=-1), x=grid, axis=-1)
-        rel = np.linalg.norm(r - expected) / np.linalg.norm(expected)
-        assert rel < 1e-6
+        for r in (per_pair, batched):
+            assert np.linalg.norm(r - expected) / np.linalg.norm(expected) < 1e-6
 
     def test_stacked_matrices(self):
         cfg = small_cfg()
@@ -207,6 +217,50 @@ class TestSpatialCorrelation:
         assert R.shape == (4, 3, 4, 4)
         traces = np.trace(R, axis1=-2, axis2=-1).real
         assert np.allclose(traces, 4.0 * real.beta, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            dict(M=1),
+            dict(M=2),
+            dict(M=4),
+            dict(M=7),
+            dict(M=4, array_geometry="planar"),
+            dict(M=6, array_geometry="planar"),
+            dict(M=9, array_geometry="planar"),
+            dict(N=36, ris_rows=4, ris_cols=9),
+            dict(N=5, ris_rows=1, ris_cols=5, M=2),
+            dict(N=4, ris_rows=2, ris_cols=2, M=2),
+            dict(correlation_model="white"),
+            dict(angular_spread_deg=0.0),
+            dict(ap_height_m=0.0),
+        ],
+        ids=lambda sizes: ",".join(f"{key}={value}" for key, value in sizes.items()),
+    )
+    def test_batched_matches_per_pair_reference(self, sizes):
+        # default 6x6 RIS grid unless the case sets the grid; both element sets on every drop
+        cfg = SimConfig(**{"L": 5, "K": 4, **sizes})
+        real = generate_realization(cfg, np.random.default_rng(11))
+        # UE 0 inside the distance clamp of AP 0, UE 1 at AP 1's ground position
+        real.ue_positions[0] = real.ap_positions[0] + [0.3, -0.4]
+        real.ue_positions[1] = real.ap_positions[1]
+        for elements in (ris_grid_positions(cfg), active_array_positions(cfg)):
+            assert correlation_build_error(real, cfg, elements) <= 1e-12
+
+    def test_off_lattice_elements_rejected(self):
+        cfg = small_cfg()
+        real = generate_realization(cfg, np.random.default_rng(0))
+        shifted = ris_grid_positions(cfg)
+        shifted[1, 1] += 0.3 * cfg.element_spacing * cfg.wavelength_m
+        deeper = ris_grid_positions(cfg)
+        deeper[0, 0] = 0.01
+        for elements in (shifted, deeper):
+            with pytest.raises(ValueError, match="lattice"):
+                spatial_correlation_matrices(real, cfg, elements)
+
+    def test_quadrature_nodes_read_only(self):
+        with pytest.raises(ValueError):
+            _gauss_hermite_nodes(0.1)[1][0] = 0.0
 
 
 class TestFrontChannel:
