@@ -26,10 +26,6 @@ class Association:
         return self.serving_matrix.shape[1]
 
     @property
-    def num_aps(self):
-        return self.serving_matrix.shape[0]
-
-    @property
     def serving_sets(self):
         """M_k: the serving APs of each UE, derived from serving_matrix."""
         return [list(np.where(col)[0]) for col in self.serving_matrix.T]

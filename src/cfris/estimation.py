@@ -2,10 +2,7 @@
 
 Everything is expressed through the effective front matrix E_l = H_l Psi_l
 (the array response seen through the configured surface); the conventional
-no-RIS receiver is the special case E_l = I. The batched bank simulates the
-per-pilot sufficient statistic z_tl ~ CN(0, G_tl) in whitened form: it draws
-w ~ CN(0, I) and maps it to each UE's estimate through one matrix, since
-z = L w with G = L L^H.
+no-RIS receiver is the special case E_l = I.
 """
 
 import numpy as np
@@ -64,9 +61,10 @@ class EffectiveStats:
     Precomputes the effective covariances Q_kl, the per-(pilot, AP) Grams
     G_tl = L_tl L_tl^H, one estimator map T_kl = sqrt(tau_p rho_p) Q_kl
     L_tl^-H per UE with t = t(k), and the effective error covariances F_kl.
-    Blocks draw the whitened statistic w_tl = L_tl^-1 z_tl ~ CN(0, I), so
-    ghat_kl = T_kl w_tl is the MMSE estimate sqrt(tau_p rho_p) Q_kl G_tl^-1
-    z_tl. All members are immutable after construction.
+    Blocks draw w_tl = L_tl^-1 z_tl ~ CN(0, I) in place of the statistic
+    z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
+    sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates are one batched
+    gemm of T with the blocks as the columns. Members are immutable.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -100,18 +98,26 @@ class EffectiveStats:
         self.T = np.sqrt(tpp) * q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
-        """White draws w ~ CN(0, I) for a batch of coherence blocks.
+        """White draws w ~ CN(0, I), independent across (block, pilot, AP).
 
-        w_tl = L_tl^-1 z_tl is the whitened sufficient statistic of pilot t
-        at AP l, independent across (pilot, AP); shape (blocks, tau_p, L, m).
+        Shape (blocks, tau_p, L, m). Real parts: the first standard_normal
+        draw of that shape; imaginary parts: the second.
         """
         shape = (blocks,) + self.G.shape[:2] + (self.m,)
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        w = np.empty(shape, dtype=complex)
+        w.real = rng.standard_normal(shape)
+        w.imag = rng.standard_normal(shape)
+        w *= np.sqrt(0.5)
+        return w
 
     def effective_estimates(self, w):
-        """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K)."""
-        blocks = w.shape[0]
-        ghat = np.empty((blocks, self.L, self.m, self.K), dtype=complex)
-        for k in range(self.K):
-            ghat[..., k] = np.einsum("lmn,bln->blm", self.T[k], w[:, self.pilot_of[k]])
+        """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K).
+
+        One batched gemm with the blocks as the columns writes (K, L, m,
+        blocks); the copy into the C-contiguous result runs per AP, in cache.
+        """
+        e = self.T @ w[:, self.pilot_of].transpose(1, 2, 3, 0)
+        ghat = np.empty((w.shape[0], self.L, self.m, self.K), dtype=complex)
+        for l in range(self.L):
+            ghat[:, l] = e[:, l].transpose(2, 1, 0)
         return ghat

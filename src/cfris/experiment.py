@@ -96,13 +96,15 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     """Per-UE spectral efficiency averaged over coherence blocks.
 
     On UE k's serving APs the combiner solves (Lambda + G G^H) v = ghat_k,
-    with Lambda the block-diagonal error-plus-noise blocks and G =
-    [sqrt(eta) ghat_i] over the partners. As (Lambda + G G^H)^-1 G =
-    Lambda^-1 G S^-1 with S = I + G^H Lambda^-1 G, v is a column of
-    (Lambda^-1 G) S^-1 up to a scale the SINR ignores. No difference of
-    nearly equal vectors is formed, so high-SINR UEs keep the accuracy of
-    the direct solve in receiver.py. Lambda^-1 and S depend only on the
-    (serving set, partner set), so each such group of UEs takes one pass.
+    with Lambda the partners' block-diagonal error-plus-noise blocks and G
+    = [sqrt(eta) ghat_i] over the partners. As (Lambda + G G^H)^-1 G =
+    Lambda^-1 G S^-1 with S = I + P, P = G^H Lambda^-1 G, v is a column of
+    (Lambda^-1 G) S^-1 up to a scale the SINR ignores, and the SINR's
+    v^H Lambda v is y^H P y, y being that column of S^-1. Only the
+    non-partners' Delta = eta sum F_i needs v itself; it is absent when all
+    UEs are partners. No difference of nearly equal vectors is formed, so
+    high-SINR UEs keep the accuracy of the direct solve in receiver.py. Each
+    (serving set, partner set) group of UEs takes one pass per chunk.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -114,24 +116,30 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     plan = []
     for (serving, partners), members in groups.items():
         idx, part = np.array(serving), np.array(partners)
-        lam = eta * stats.F[part][:, idx].sum(axis=0) + sigma2 * np.eye(m)
-        plan.append((idx, part, np.linalg.inv(lam), members, [partners.index(k) for k in members]))
-    err_noise = eta * stats.F.sum(axis=0) + sigma2 * np.eye(m)  # SINR denominator blocks, (L, m, m)
+        others = sorted(set(range(K)) - set(partners))
+        lam = eta * stats.F[np.ix_(part, idx)].sum(axis=0) + sigma2 * np.eye(m)
+        delta = eta * stats.F[np.ix_(others, idx)].sum(axis=0) if others else None
+        # a whole axis is a slice, so the block loop views the estimates instead of copying them
+        plan.append((slice(None) if idx.size == stats.L else idx, slice(None) if not others else part,
+                     np.linalg.inv(lam), delta, members, [partners.index(k) for k in members]))
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):
         b = min(_BLOCK_CHUNK, n_blocks - start)
         ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
-        for idx, part, lam_inv, members, cols in plan:
+        for idx, part, lam_inv, delta, members, cols in plan:
             gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
             g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
-            a = (lam_inv @ g.reshape(b, idx.size, m, -1)).reshape(g.shape)
-            s = g.conj().swapaxes(1, 2) @ a + np.eye(part.size)
-            v = a @ np.linalg.inv(s)[..., cols]                # members' combiners, (b, d, n)
+            a = (lam_inv @ g.reshape(b, lam_inv.shape[0], m, -1)).reshape(g.shape)
+            p = g.conj().swapaxes(1, 2) @ a                    # P = G^H Lambda^-1 G, (b, p, p)
+            y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
+            v = a @ y                                          # members' combiners, (b, d, n)
             power = eta * np.abs(v.conj().swapaxes(1, 2) @ gh) ** 2   # (b, n, K)
             signal = power[:, np.arange(len(members)), members]
-            vb = v.reshape(b, idx.size, m, -1)
-            rest = np.sum(vb.conj() * (err_noise[idx] @ vb), axis=(1, 2)).real
+            rest = np.sum(y.conj() * (p @ y), axis=1).real     # v^H Lambda v = y^H P y, (b, n)
+            if delta is not None:
+                vb = v.reshape(b, lam_inv.shape[0], m, -1)
+                rest += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
             sum_log[members] += np.log2(1.0 + signal / (power.sum(axis=2) - signal + rest)).sum(axis=0)
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
 

@@ -31,7 +31,7 @@ def _combiner(k, ghat, F, assoc, cfg, partners):
     idx, d, mat = _restricted_outer_sum(k, ghat, F, assoc, eta, cfg.noise_power_w, partners)
     m = ghat.shape[2]
     v_red = eta[k] * np.linalg.solve(mat, ghat[k][idx].reshape(d))
-    v = np.zeros((assoc.num_aps, m), dtype=complex)
+    v = np.zeros((ghat.shape[1], m), dtype=complex)
     v[idx] = v_red.reshape(len(idx), m)
     return v.reshape(-1)
 

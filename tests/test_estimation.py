@@ -305,13 +305,29 @@ class TestEffectiveStats:
                     assert np.linalg.norm(cov - expected) <= 0.03 * scale
 
     def test_estimates_shape_and_map(self):
+        # every (block, AP, UE) entry of the batched gemm against the per-UE map, with and
+        # without fronts, on a drop where UEs 0 and 2 share pilot 0
+        for fronts in (True, False):
+            stats, *_ = self.build(fronts)
+            w = stats.sample_pilot_statistics(np.random.default_rng(14), 3)
+            ghat = stats.effective_estimates(w)
+            assert ghat.shape == (3, 2, stats.m, 3)
+            for b in range(3):
+                for l in range(2):
+                    for k in range(3):
+                        expected = stats.T[k, l] @ w[b, stats.pilot_of[k], l]
+                        assert np.linalg.norm(ghat[b, l, :, k] - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_sampling_stream(self):
+        # real parts are the first standard_normal draw of the full shape, imaginary
+        # parts the second: a layout change must not reorder the SE stream
         stats, *_ = self.build()
-        w = stats.sample_pilot_statistics(np.random.default_rng(14), 3)
-        ghat = stats.effective_estimates(w)
-        assert ghat.shape == (3, 2, 2, 3)
-        b, l, k = 1, 0, 2
-        expected = stats.T[k, l] @ w[b, stats.pilot_of[k], l]
-        assert np.allclose(ghat[b, l, :, k], expected)
+        w = stats.sample_pilot_statistics(np.random.default_rng(16), 5)
+        rng = np.random.default_rng(16)
+        first, second = rng.standard_normal(w.shape), rng.standard_normal(w.shape)
+        for part, draw in ((w.real, first), (w.imag, second)):
+            expected = np.sqrt(0.5) * draw
+            assert np.all(np.abs(part - expected) <= np.spacing(np.abs(expected)))
 
     def test_sampling_deterministic(self):
         stats, *_ = self.build()

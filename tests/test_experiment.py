@@ -152,6 +152,47 @@ class TestSeKernel:
         fast, reference, cond = _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks=3)
         assert np.all(np.abs(fast - reference) / reference <= 1e-10 + 10 * np.finfo(float).eps * cond)
 
+    @staticmethod
+    def _kernel_against_40_digits(cfg, ghat, F, assoc):
+        """Kernel SE on the fixed blocks ghat (blocks, L, m, K) and the 40-digit P-MMSE SE."""
+        blocks, L, m, K = ghat.shape
+
+        class FixedBlocks:   # stands in for EffectiveStats: the blocks are ghat itself
+            def sample_pilot_statistics(self, rng, b):
+                return ghat[:b]
+
+            def effective_estimates(self, z):
+                return z
+
+        stats = FixedBlocks()
+        stats.K, stats.L, stats.m, stats.F = K, L, m, F
+        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
+
+        with mpmath.workdps(40):
+            eta, sigma2 = mpmath.mpf(cfg.data_power_w), mpmath.mpf(cfg.noise_power_w)
+            exact = []
+            for k in range(K):
+                idx, partners = assoc.serving_sets[k], assoc.pmmse_partners(k)
+                lam = sigma2 * mpmath.eye(len(idx) * m)
+                err_noise = lam.copy()
+                for i in range(K):
+                    f = eta * mpmath.matrix(block_diag(*F[i, idx]).tolist())
+                    err_noise += f
+                    if i in partners:
+                        lam += f
+                total = mpmath.mpf(0)
+                for g in ghat:
+                    cols = [mpmath.matrix(g[idx, :, i].reshape(-1).tolist()) for i in range(K)]
+                    sigma = lam.copy()
+                    for i in partners:
+                        sigma += eta * cols[i] * cols[i].H
+                    v = mpmath.lu_solve(sigma, cols[k])
+                    power = [eta * abs((v.H * c)[0]) ** 2 for c in cols]
+                    rest = mpmath.re((v.H * err_noise * v)[0])
+                    total += mpmath.log(1 + power[k] / (sum(power) - power[k] + rest), 2)
+                exact.append(float(total / blocks) * (cfg.tau_c - cfg.tau_p) / cfg.tau_c)
+        return fast, np.array(exact)
+
     def test_high_sinr_accuracy_against_40_digits(self):
         # SINRs of 1e8 and more, where a combiner formed as the difference of two
         # nearly equal vectors is off by about 1e-6 of the SE
@@ -163,38 +204,29 @@ class TestSeKernel:
         ghat = np.sqrt(1e9 * unit / (2 * L * m)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         x = rng.standard_normal((K, L, m, m)) + 1j * rng.standard_normal((K, L, m, m))
         F = 1e-3 * unit * x @ x.conj().swapaxes(-1, -2) / m
-
-        class FixedBlocks:   # stands in for EffectiveStats: the blocks are ghat itself
-            def sample_pilot_statistics(self, rng, b):
-                return ghat[:b]
-
-            def effective_estimates(self, z):
-                return z
-
-        stats = FixedBlocks()
-        stats.K, stats.m, stats.F = K, m, F
-        assoc = Association(np.arange(K), np.zeros(K, dtype=int), np.ones((L, K), dtype=bool))
-        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
-
         # every AP serves every UE, so both combiners are the full MMSE combiner
-        with mpmath.workdps(40):
-            eta, sigma2 = mpmath.mpf(cfg.data_power_w), mpmath.mpf(cfg.noise_power_w)
-            err_noise = sigma2 * mpmath.eye(L * m)
-            for i in range(K):
-                err_noise += eta * mpmath.matrix(block_diag(*F[i]).tolist())
-            total = [mpmath.mpf(0)] * K
-            for g in ghat:
-                cols = [mpmath.matrix(g[..., i].reshape(-1).tolist()) for i in range(K)]
-                sigma = err_noise.copy()
-                for c in cols:
-                    sigma += eta * c * c.H
-                for k in range(K):
-                    v = mpmath.lu_solve(sigma, cols[k])
-                    power = [eta * abs((v.H * c)[0]) ** 2 for c in cols]
-                    rest = mpmath.re((v.H * err_noise * v)[0])
-                    total[k] += mpmath.log(1 + power[k] / (sum(power) - power[k] + rest), 2)
-            exact = np.array([float(t / blocks) for t in total]) * (cfg.tau_c - cfg.tau_p) / cfg.tau_c
+        assoc = Association(np.arange(K), np.zeros(K, dtype=int), np.ones((L, K), dtype=bool))
+        fast, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
+        assert exact.min() > np.log2(1e7)
+        assert np.max(np.abs(fast - exact) / exact) <= 1e-9
 
+    def test_high_sinr_accuracy_with_non_partners_against_40_digits(self):
+        # K > tau_p on a chain of serving sets: UEs 0 and 3 share no AP, nor do 0 and 2, so
+        # every UE group has a non-partner and the kernel adds v^H Delta v for it; the
+        # non-partners' estimates and error blocks are weak but not zero on the serving APs
+        cfg = SimConfig(L=3, K=4, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
+        L, K, m, blocks = 3, 4, 2, 2
+        serving = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=bool)
+        rng = np.random.default_rng(6)
+        unit = cfg.noise_power_w / cfg.data_power_w
+        gain = np.where(serving, 1e9, 1.0) * unit                      # (L, K)
+        shape = (blocks, L, m, K)
+        ghat = np.sqrt(gain[:, None] / (2 * m)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x = rng.standard_normal((K, L, m, m)) + 1j * rng.standard_normal((K, L, m, m))
+        F = np.where(serving.T, 1e-3, 0.5)[..., None, None] * unit * x @ x.conj().swapaxes(-1, -2) / m
+        assoc = Association(np.array([0, 1, 0, 1]), np.array([0, 1, 1, 2]), serving)
+        assert all(len(assoc.pmmse_partners(k)) < K for k in range(K))
+        fast, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
         assert exact.min() > np.log2(1e7)
         assert np.max(np.abs(fast - exact) / exact) <= 1e-9
 
