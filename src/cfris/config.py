@@ -17,7 +17,7 @@ _DEFAULT_BOX_DEPTH_M = 12.0 * SPEED_OF_LIGHT / 2e9
 # A zero length or power puts log10(0) or a division by zero into the model.
 _POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "element_spacing",
                     "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
-_NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m")
+_NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m", "seed")
 
 
 @dataclass

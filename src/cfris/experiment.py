@@ -52,9 +52,9 @@ class ExperimentSpec:
         self.cfg.validate()
         for name in self.scenarios:
             if name not in _SCENARIO_ID:
-                raise ValueError(f"unknown scenario {name!r}")
+                raise ConfigError("scenarios", f"unknown scenario {name!r}")
         if self.combiner not in ("pmmse", "mmse"):
-            raise ValueError(f"unknown combiner {self.combiner!r}")
+            raise ConfigError("combiner", f"unknown combiner {self.combiner!r}")
         if self.threads < 1:
             raise ConfigError("threads", "need at least one worker thread")
         return self
@@ -96,15 +96,15 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     """Per-UE spectral efficiency averaged over coherence blocks.
 
     On UE k's serving APs the combiner solves (Lambda + G G^H) v = ghat_k,
-    with Lambda the partners' block-diagonal error-plus-noise blocks and G
-    = [sqrt(eta) ghat_i] over the partners. As (Lambda + G G^H)^-1 G =
-    Lambda^-1 G S^-1 with S = I + P, P = G^H Lambda^-1 G, v is a column of
-    (Lambda^-1 G) S^-1 up to a scale the SINR ignores, and the SINR's
-    v^H Lambda v is y^H P y, y being that column of S^-1. Only the
-    non-partners' Delta = eta sum F_i needs v itself; it is absent when all
-    UEs are partners. No difference of nearly equal vectors is formed, so
-    high-SINR UEs keep the accuracy of the direct solve in receiver.py. Each
-    (serving set, partner set) group of UEs takes one pass per chunk.
+    Lambda being the partners' block-diagonal error-plus-noise blocks and G
+    = [sqrt(eta) ghat_i] over the partners. With S = I + P, P = G^H Lambda^-1
+    G and y UE k's column of S^-1, v = Lambda^-1 G y up to a scale the SINR
+    ignores, so G^H v = P y: the signal is q_k^2 and the other partners' power
+    plus v^H Lambda v is y_k q_k, where y_k = [S^-1]_kk and q_k = [P S^-1]_kk =
+    1 - y_k, formed as a product. SINR_k = q_k^2 / (y_k q_k + eps_k); only
+    eps_k, the non-partners' power plus v^H Delta v (Delta = eta sum F_i over
+    them), needs v. Each group of UEs with one serving and partner set takes
+    one pass per chunk of blocks; one without non-partners forms no v.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -120,27 +120,27 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
         lam = eta * stats.F[np.ix_(part, idx)].sum(axis=0) + sigma2 * np.eye(m)
         delta = eta * stats.F[np.ix_(others, idx)].sum(axis=0) if others else None
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
-        plan.append((slice(None) if idx.size == stats.L else idx, slice(None) if not others else part,
+        plan.append((slice(None) if idx.size == stats.L else idx, slice(None) if not others else part, others,
                      np.linalg.inv(lam), delta, members, [partners.index(k) for k in members]))
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):
         b = min(_BLOCK_CHUNK, n_blocks - start)
         ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
-        for idx, part, lam_inv, delta, members, cols in plan:
+        for idx, part, others, lam_inv, delta, members, cols in plan:
             gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
             g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
             a = (lam_inv @ g.reshape(b, lam_inv.shape[0], m, -1)).reshape(g.shape)
             p = g.conj().swapaxes(1, 2) @ a                    # P = G^H Lambda^-1 G, (b, p, p)
             y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
-            v = a @ y                                          # members' combiners, (b, d, n)
-            power = eta * np.abs(v.conj().swapaxes(1, 2) @ gh) ** 2   # (b, n, K)
-            signal = power[:, np.arange(len(members)), members]
-            rest = np.sum(y.conj() * (p @ y), axis=1).real     # v^H Lambda v = y^H P y, (b, n)
-            if delta is not None:
+            y_k, q_k = np.einsum("bnn->bn", y[:, cols]).real, np.einsum("bnp,bpn->bn", p[:, cols], y).real
+            eps = 0.0
+            if others:
+                v = a @ y                                      # members' combiners, (b, d, n)
                 vb = v.reshape(b, lam_inv.shape[0], m, -1)
-                rest += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
-            sum_log[members] += np.log2(1.0 + signal / (power.sum(axis=2) - signal + rest)).sum(axis=0)
+                eps = eta * np.sum(np.abs(v.conj().swapaxes(1, 2) @ gh[..., others]) ** 2, axis=2)
+                eps += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
+            sum_log[members] += np.log2(1.0 + q_k**2 / (y_k * q_k + eps)).sum(axis=0)
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
 
 

@@ -5,7 +5,8 @@ criteria 5-7 are the timed property suites for the estimation, phase-optimizer,
 and receiver modules from ``cfris.oracles`` (also run by ``cfris oracle``);
 criterion 8 checks byte-identical reports under
 re-runs and different thread counts. Run with ``pytest -v`` (add ``-s`` to
-see the per-criterion lines as they complete).
+see the per-criterion lines as they complete). Criteria 1-4 carry the
+``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import filecmp
@@ -58,6 +59,7 @@ def sparse_run():
     return run_experiment(spec)
 
 
+@pytest.mark.slow
 def test_criterion_1_median_improvement(dense_run):
     base = dense_run.median("no_ris_small")
     opt = dense_run.median("ris_optimized")
@@ -71,6 +73,7 @@ def test_criterion_1_median_improvement(dense_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_dense_ordering(dense_run):
     opt = dense_run.median("ris_optimized")
     large = dense_run.median("no_ris_large")
@@ -85,6 +88,7 @@ def test_criterion_2_dense_ordering(dense_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_crowded_ordering(crowded_run):
     large = crowded_run.median("no_ris_large")
     opt = crowded_run.median("ris_optimized")
@@ -98,6 +102,7 @@ def test_criterion_3_crowded_ordering(crowded_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_sparse_ordering(sparse_run):
     opt = sparse_run.median("ris_optimized")
     large = sparse_run.median("no_ris_large")

@@ -62,6 +62,7 @@ class TestValidation:
             ("min_distance_m", 0.0),
             ("angular_spread_deg", -5.0),
             ("shadowing_std_db", -1.0),
+            ("seed", -1),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):

@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +12,7 @@ from cfris.estimation import (
 )
 from cfris.exceptions import DimensionError
 from cfris.linalg import sample_complex_gaussian
+from exact_values import error_covariance_distance
 
 
 def small_cfg(**kw):
@@ -267,15 +267,9 @@ class TestEffectiveStats:
         front = (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))) / np.sqrt(2.0)
         pilot_of = np.array([0, 0, 1])
         stats = EffectiveStats(R, front, pilot_of, cfg)
-        with mpmath.workdps(40):
-            Q = [mpmath.matrix(stats.Q[k, 0].tolist()) for k in range(3)]
-            for k in range(3):
-                gram = mpmath.mpf(cfg.noise_power_w) * mpmath.eye(3)
-                for i in np.flatnonzero(pilot_of == pilot_of[k]):
-                    gram += tpp * Q[i]
-                exact = Q[k] - tpp * Q[k] * mpmath.inverse(gram) * Q[k]
-                diff = mpmath.matrix(stats.F[k, 0].tolist()) - exact
-                assert mpmath.mnorm(diff, "F") <= 1e-12 * mpmath.mnorm(exact, "F")
+        for k in range(3):
+            distance = error_covariance_distance(stats.F[k, 0], stats.Q[:, 0], pilot_of, k, cfg.noise_power_w, tpp)
+            assert distance <= 1e-12
 
     def test_no_front_dimensions(self):
         stats, R, _, _, _ = self.build(fronts=False)

@@ -2,11 +2,9 @@ import os
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import block_diag
 
 from cfris.association import Association
 from cfris.cli import main as cli_main
@@ -24,6 +22,7 @@ from cfris.experiment import (
     run_experiment,
 )
 from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
+from exact_values import pmmse_se
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,12 +49,14 @@ class TestSpec:
         ExperimentSpec(cfg=tiny_cfg()).validate()
 
     def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             ExperimentSpec(cfg=tiny_cfg(), scenarios=("warp_drive",)).validate()
+        assert err.value.field == "scenarios"
 
     def test_unknown_combiner(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:
             ExperimentSpec(cfg=tiny_cfg(), combiner="zf").validate()
+        assert err.value.field == "combiner"
 
     def test_threads_at_least_one(self):
         with pytest.raises(ConfigError, match="threads"):
@@ -166,32 +167,7 @@ class TestSeKernel:
 
         stats = FixedBlocks()
         stats.K, stats.L, stats.m, stats.F = K, L, m, F
-        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
-
-        with mpmath.workdps(40):
-            eta, sigma2 = mpmath.mpf(cfg.data_power_w), mpmath.mpf(cfg.noise_power_w)
-            exact = []
-            for k in range(K):
-                idx, partners = assoc.serving_sets[k], assoc.pmmse_partners(k)
-                lam = sigma2 * mpmath.eye(len(idx) * m)
-                err_noise = lam.copy()
-                for i in range(K):
-                    f = eta * mpmath.matrix(block_diag(*F[i, idx]).tolist())
-                    err_noise += f
-                    if i in partners:
-                        lam += f
-                total = mpmath.mpf(0)
-                for g in ghat:
-                    cols = [mpmath.matrix(g[idx, :, i].reshape(-1).tolist()) for i in range(K)]
-                    sigma = lam.copy()
-                    for i in partners:
-                        sigma += eta * cols[i] * cols[i].H
-                    v = mpmath.lu_solve(sigma, cols[k])
-                    power = [eta * abs((v.H * c)[0]) ** 2 for c in cols]
-                    rest = mpmath.re((v.H * err_noise * v)[0])
-                    total += mpmath.log(1 + power[k] / (sum(power) - power[k] + rest), 2)
-                exact.append(float(total / blocks) * (cfg.tau_c - cfg.tau_p) / cfg.tau_c)
-        return fast, np.array(exact)
+        return block_batched_se(stats, assoc, cfg, None, n_blocks=blocks), pmmse_se(cfg, ghat, F, assoc)
 
     def test_high_sinr_accuracy_against_40_digits(self):
         # SINRs of 1e8 and more, where a combiner formed as the difference of two
