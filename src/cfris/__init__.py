@@ -8,8 +8,7 @@ from .estimation import (
     effective_covariance,
     effective_front,
     error_covariance,
-    mmse_estimate,
-    pilot_gram,
+    mmse_estimator,
 )
 from .exceptions import (
     CfrisError,

@@ -5,6 +5,7 @@ All keys carry explicit units in their names (``noise_power_dbm``,
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields, asdict
 
 from .exceptions import ConfigError
@@ -18,6 +19,7 @@ _DEFAULT_BOX_DEPTH_M = 12.0 * SPEED_OF_LIGHT / 2e9
 _POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "element_spacing",
                     "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
 _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m", "seed")
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float
 
 
 @dataclass
@@ -70,7 +72,10 @@ class SimConfig:
     def validate(self):
         """Raise ConfigError naming the first offending field."""
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            if not isinstance(value, _ACCEPTED[f.type]):
+                raise ConfigError(f.name, f"must be of type {f.type.__name__}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
                 raise ConfigError(f.name, "must be finite")
         if self.K < 1:
             raise ConfigError("K", "need at least one UE")

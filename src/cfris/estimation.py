@@ -1,13 +1,13 @@
-"""Pilot processing: sufficient statistics, MMSE estimates, error covariances.
+"""Pilot processing: the estimator bank and its per-pair reference.
 
 Everything is expressed through the effective front matrix E_l = H_l Psi_l
 (the array response seen through the configured surface); the conventional
-no-RIS receiver is the special case E_l = I.
+no-RIS receiver is the special case E_l = I, passed as front None.
 """
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .linalg import psd_sqrt
 
 
 def effective_front(H_l, psi_l):
@@ -27,42 +27,39 @@ def effective_covariance(R_kl, front):
     return x @ front.conj().T
 
 
-def pilot_gram(copilot_Q, cfg):
-    """Regularized pilot Gram tau_p * rho_p * sum_i Q_il + sigma^2 I."""
-    m = copilot_Q[0].shape[0]
-    g = np.zeros((m, m), dtype=complex)
-    for q in copilot_Q:
-        g += q
-    g *= cfg.tau_p * cfg.pilot_power_w
-    g += cfg.noise_power_w * np.eye(m)
-    return g
+def _copilot_rest(copilot_Q, m, cfg):
+    """rest = sigma^2 I + tau_p rho_p sum_i Q_il over the other co-pilot UEs (there may be none)."""
+    return cfg.noise_power_w * np.eye(m) + cfg.tau_p * cfg.pilot_power_w * sum(copilot_Q, np.zeros((m, m)))
 
 
-def mmse_estimate(z_kl, R_kl, front, gram, cfg):
-    """MMSE estimate sqrt(tau_p rho_p) R_kl E_l^H gram^{-1} z_kl."""
-    m = gram.shape[0]
-    if z_kl.shape[0] != m:
-        raise DimensionError(f"statistic length {z_kl.shape[0]} does not match gram dim {m}")
-    x = np.linalg.solve(gram, z_kl)
-    back = x if front is None else front.conj().T @ x
-    return np.sqrt(cfg.tau_p * cfg.pilot_power_w) * (R_kl @ back)
+def mmse_estimator(R_kl, front, copilot_Q, cfg):
+    """The n x m map sqrt(tpp) R E^H (rest + tpp E R E^H)^-1, tpp = tau_p rho_p, that takes the
+    statistic z_kl to the MMSE estimate of h_kl; copilot_Q holds the other co-pilot UEs' Q_il."""
+    tpp = cfg.tau_p * cfg.pilot_power_w
+    x = np.asarray(R_kl, dtype=complex) if front is None else front @ R_kl   # E R, (m, n)
+    gram = _copilot_rest(copilot_Q, x.shape[0], cfg) + tpp * effective_covariance(R_kl, front)
+    return np.sqrt(tpp) * np.linalg.solve(gram, x).conj().T
 
 
-def error_covariance(R_kl, front, gram, cfg):
-    """C_kl = R_kl - tau_p rho_p R_kl E^H gram^{-1} E R_kl (Hermitian PSD)."""
-    x = R_kl if front is None else front @ R_kl  # (m, n)
-    c = R_kl - cfg.tau_p * cfg.pilot_power_w * (x.conj().T @ np.linalg.solve(gram, x))
+def error_covariance(R_kl, front, copilot_Q, cfg):
+    """C_kl = S (I + tpp S E^H rest^-1 E S)^-1 S, S = R_kl^(1/2), for the same inputs: the
+    information form (Kay, Estimation Theory, Ch. 10-11) subtracts nothing, so it does not
+    cancel at high pilot SNR, and it holds for singular R_kl."""
+    s = psd_sqrt(R_kl)
+    es = s if front is None else front @ s
+    info = es.conj().T @ np.linalg.solve(_copilot_rest(copilot_Q, es.shape[0], cfg), es)
+    c = s @ np.linalg.solve(np.eye(s.shape[0]) + cfg.tau_p * cfg.pilot_power_w * info, s)
     return 0.5 * (c + c.conj().T)
 
 
 class EffectiveStats:
     """Per-realization estimator bank shared by all coherence blocks.
 
-    Precomputes the effective covariances Q_kl, the per-(pilot, AP) Grams
-    G_tl = L_tl L_tl^H, one estimator map T_kl = sqrt(tau_p rho_p) Q_kl
-    L_tl^-H per UE with t = t(k), and the effective error covariances F_kl.
-    Blocks draw w_tl = L_tl^-1 z_tl ~ CN(0, I) in place of the statistic
-    z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
+    Keeps per UE k and AP l only the estimator map T_kl = sqrt(tau_p rho_p)
+    Q_kl L_tl^-H, t = t(k), and the effective error covariance F_kl; the
+    effective covariances Q_kl and the pilot Grams G_tl = L_tl L_tl^H are
+    not kept. Blocks draw w_tl = L_tl^-1 z_tl ~ CN(0, I) in place of the
+    statistic z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
     sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates are one batched
     gemm of T with the blocks as the columns. Members are immutable.
     """
@@ -71,27 +68,27 @@ class EffectiveStats:
         K, L, n, _ = R.shape
         m = n if fronts is None else fronts.shape[1]
         tpp = cfg.tau_p * cfg.pilot_power_w
-        self.K, self.L, self.m = K, L, m
+        self.K, self.L, self.m, self.tau_p = K, L, m, cfg.tau_p
         self.pilot_of = np.asarray(pilot_of)
 
         if fronts is None:
-            self.Q = np.asarray(R, dtype=complex)
+            Q = np.asarray(R, dtype=complex)
         else:
             fh = fronts.conj().swapaxes(-1, -2)
-            self.Q = (fronts[None] @ R) @ fh[None]
+            Q = (fronts[None] @ R) @ fh[None]
 
         noise = cfg.noise_power_w * np.eye(m)
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
-        self.G = np.tensordot(tpp * onehot, self.Q, axes=1)
-        self.G += noise
-        linv = np.linalg.inv(np.linalg.cholesky(self.G))[self.pilot_of]   # L_{t(k),l}^-1, (K, L, m, m)
-        q_lh = self.Q @ linv.conj().swapaxes(-1, -2)
+        G = np.tensordot(tpp * onehot, Q, axes=1)
+        G += noise
+        linv = np.linalg.inv(np.linalg.cholesky(G))[self.pilot_of]   # L_{t(k),l}^-1, (K, L, m, m)
+        q_lh = Q @ linv.conj().swapaxes(-1, -2)
         # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
         # G - tpp Q_kl is summed from the other co-pilot UEs, never
         # subtracted: at high pilot SNR Q_kl dominates G and the difference
         # cancels.
         copilot = onehot.T @ onehot - np.eye(K)
-        rest = np.tensordot(tpp * copilot, self.Q, axes=1)
+        rest = np.tensordot(tpp * copilot, Q, axes=1)
         rest += noise
         f = q_lh @ (linv @ rest)
         self.F = 0.5 * (f + np.conj(np.swapaxes(f, -1, -2)))
@@ -103,7 +100,7 @@ class EffectiveStats:
         Shape (blocks, tau_p, L, m). Real parts: the first standard_normal
         draw of that shape; imaginary parts: the second.
         """
-        shape = (blocks,) + self.G.shape[:2] + (self.m,)
+        shape = (blocks, self.tau_p, self.L, self.m)
         w = np.empty(shape, dtype=complex)
         w.real = rng.standard_normal(shape)
         w.imag = rng.standard_normal(shape)

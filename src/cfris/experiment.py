@@ -53,6 +53,8 @@ class ExperimentSpec:
         for name in self.scenarios:
             if name not in _SCENARIO_ID:
                 raise ConfigError("scenarios", f"unknown scenario {name!r}")
+            if self.scenarios.count(name) > 1:
+                raise ConfigError("scenarios", f"scenario {name!r} listed twice")
         if self.combiner not in ("pmmse", "mmse"):
             raise ConfigError("combiner", f"unknown combiner {self.combiner!r}")
         if self.threads < 1:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .association import Association, assign_pilots_and_clusters
 from .config import SimConfig
-from .estimation import EffectiveStats, effective_covariance, error_covariance, pilot_gram
+from .estimation import EffectiveStats, effective_covariance, error_covariance, mmse_estimator
 from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
 from .network import (NetworkRealization, active_array_positions, build_spatial_correlation, generate_realization,
@@ -38,14 +38,13 @@ def check_estimation_suite(rng):
     r_k = _random_psd(rng, n, scale)
     r_i = _random_psd(rng, n, scale)
     front = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    gram = pilot_gram(
-        [effective_covariance(r_k, front), effective_covariance(r_i, front)], cfg
-    )
-    c = error_covariance(r_k, front, gram, cfg)
+    others = [effective_covariance(r_i, front)]
+    t = mmse_estimator(r_k, front, others, cfg)
+    c = error_covariance(r_k, front, others, cfg)
 
+    # cov(estimate) = t cov(z) t^H = sqrt(tpp) t E R, against the information-form C
     tpp = cfg.tau_p * cfg.pilot_power_w
-    t = np.sqrt(tpp) * r_k @ front.conj().T @ np.linalg.inv(gram)
-    cov_hat_analytic = tpp * r_k @ front.conj().T @ np.linalg.inv(gram) @ front @ r_k
+    cov_hat_analytic = np.sqrt(tpp) * t @ front @ r_k
     decomposition = np.linalg.norm(cov_hat_analytic + c - r_k) / np.linalg.norm(r_k)
 
     draws = 100_000

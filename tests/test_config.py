@@ -63,6 +63,12 @@ class TestValidation:
             ("angular_spread_deg", -5.0),
             ("shadowing_std_db", -1.0),
             ("seed", -1),
+            ("K", 2.5),
+            ("L", "4"),
+            ("mc_setups", 1.5),
+            ("mc_channel_realizations", 2.5),
+            ("seed", 1.5),
+            ("array_geometry", 3),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):
@@ -70,6 +76,9 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert field in str(err.value)
+
+    def test_int_valid_for_float_field(self):
+        SimConfig(area_side_m=500, pilot_power_mw=100, noise_power_dbm=-94).validate()
 
     def test_pilot_longer_than_block(self):
         with pytest.raises(ConfigError, match="tau_p"):

@@ -7,11 +7,10 @@ from cfris.estimation import (
     effective_covariance,
     effective_front,
     error_covariance,
-    mmse_estimate,
-    pilot_gram,
+    mmse_estimator,
 )
-from cfris.exceptions import DimensionError
 from cfris.linalg import sample_complex_gaussian
+from cfris.oracles import _random_psd as random_psd
 from exact_values import error_covariance_distance
 
 
@@ -19,11 +18,6 @@ def small_cfg(**kw):
     base = dict(L=2, K=3, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
     base.update(kw)
     return SimConfig(**base)
-
-
-def random_psd(rng, n, scale=1.0):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (x @ x.conj().T) / n
 
 
 class TestEffectiveFront:
@@ -57,45 +51,16 @@ class TestEffectiveCovariance:
         assert np.trace(q).real == pytest.approx(np.trace(r).real, rel=1e-12)
 
 
-class TestPilotGram:
-    def test_identity_inputs(self):
-        cfg = small_cfg()
-        g = pilot_gram([np.eye(2), np.eye(2)], cfg)
-        expected = 2 * cfg.tau_p * cfg.pilot_power_w + cfg.noise_power_w
-        assert np.allclose(g, expected * np.eye(2))
-
-    def test_hermitian_pd(self):
-        rng = np.random.default_rng(2)
-        cfg = small_cfg()
-        g = pilot_gram([random_psd(rng, 3), random_psd(rng, 3)], cfg)
-        assert np.allclose(g, g.conj().T)
-        assert np.min(np.linalg.eigvalsh(g)) >= cfg.noise_power_w * (1 - 1e-12)
-
-
 class TestMmseEstimate:
     def test_scalar_case_analytic(self):
         # one antenna, no front: everything reduces to scalars
         cfg = small_cfg()
         tpp = cfg.tau_p * cfg.pilot_power_w
         r = np.array([[3.0e-13]])
-        gram = pilot_gram([r], cfg)
         z = np.array([2.0 - 1.0j]) * 1e-7
         expected = np.sqrt(tpp) * 3.0e-13 * z[0] / (tpp * 3.0e-13 + cfg.noise_power_w)
-        got = mmse_estimate(z, r, None, gram, cfg)
+        got = mmse_estimator(r, None, [], cfg) @ z
         assert got[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_statistic_gives_zero(self):
-        rng = np.random.default_rng(3)
-        cfg = small_cfg()
-        r = random_psd(rng, 4)
-        front = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        gram = pilot_gram([effective_covariance(r, front)], cfg)
-        assert np.array_equal(mmse_estimate(np.zeros(2, dtype=complex), r, front, gram, cfg), np.zeros(4))
-
-    def test_dimension_mismatch(self):
-        cfg = small_cfg()
-        with pytest.raises(DimensionError):
-            mmse_estimate(np.zeros(3, dtype=complex), np.eye(2), None, np.eye(2), cfg)
 
     def test_pilot_matrix_correlation_equivalence(self):
         # independent oracle: simulate the full m x tau_p pilot receive
@@ -134,10 +99,8 @@ class TestMmseEstimate:
         r_k = random_psd(rng, n, scale)
         r_i = random_psd(rng, n, scale)
         front = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        gram = pilot_gram(
-            [effective_covariance(r_k, front), effective_covariance(r_i, front)], cfg
-        )
-        c = error_covariance(r_k, front, gram, cfg)
+        others = [effective_covariance(r_i, front)]
+        c = error_covariance(r_k, front, others, cfg)
 
         draws = 100_000
         h_k = sample_complex_gaussian(r_k, rng, size=draws)
@@ -147,10 +110,7 @@ class TestMmseEstimate:
         )
         z = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * (h_k + h_i) @ front.T + noise
 
-        t_mmse = (
-            np.sqrt(cfg.tau_p * cfg.pilot_power_w)
-            * r_k @ front.conj().T @ np.linalg.inv(gram)
-        )
+        t_mmse = mmse_estimator(r_k, front, others, cfg)
         mse_mmse = np.mean(np.abs(h_k - z @ t_mmse.T) ** 2, axis=0).sum()
         assert mse_mmse == pytest.approx(np.trace(c).real, rel=0.02)
         for _ in range(50):
@@ -168,17 +128,17 @@ class TestMmseEstimate:
         scale = cfg.noise_power_w
         r_k = random_psd(rng, n, scale)
         front = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        gram = pilot_gram([effective_covariance(r_k, front)], cfg)
         draws = 200_000
         h_k = sample_complex_gaussian(r_k, rng, size=draws)
         noise = np.sqrt(cfg.noise_power_w / 2.0) * (
             rng.standard_normal((draws, m)) + 1j * rng.standard_normal((draws, m))
         )
         z = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * h_k @ front.T + noise
-        t = np.sqrt(cfg.tau_p * cfg.pilot_power_w) * r_k @ front.conj().T @ np.linalg.inv(gram)
+        t = mmse_estimator(r_k, front, [], cfg)
         err = h_k - z @ t.T
         cross = err.T @ z.conj() / draws
-        ref = np.sqrt(np.linalg.norm(r_k) * np.linalg.norm(gram))
+        cov_z = cfg.tau_p * cfg.pilot_power_w * effective_covariance(r_k, front) + cfg.noise_power_w * np.eye(m)
+        ref = np.sqrt(np.linalg.norm(r_k) * np.linalg.norm(cov_z))
         assert np.linalg.norm(cross) <= 0.03 * ref
 
 
@@ -188,9 +148,8 @@ class TestErrorCovariance:
         cfg = small_cfg()
         r = random_psd(rng, 4, cfg.noise_power_w)
         front = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        gram = pilot_gram([effective_covariance(r, front)], cfg)
-        c = error_covariance(r, front, gram, cfg)
-        assert np.allclose(c, c.conj().T)
+        c = error_covariance(r, front, [], cfg)
+        assert np.array_equal(c, c.conj().T)
         scale = np.linalg.norm(r)
         assert np.min(np.linalg.eigvalsh(c)) >= -1e-10 * scale
         assert np.min(np.linalg.eigvalsh(r - c)) >= -1e-10 * scale
@@ -201,9 +160,25 @@ class TestErrorCovariance:
         cfg = small_cfg(N=2, M=2, ris_rows=1, ris_cols=2, pilot_power_mw=1e12)
         r = random_psd(rng, 2, cfg.noise_power_w)
         front = np.eye(2)
-        gram = pilot_gram([effective_covariance(r, front)], cfg)
-        c = error_covariance(r, front, gram, cfg)
+        c = error_covariance(r, front, [], cfg)
         assert np.linalg.norm(c) <= 1e-9 * np.linalg.norm(r)
+
+
+def copilot_reference(form, R, fronts, pilot_of, cfg, k, l):
+    """form(R_kl, E_l, others, cfg), the others being the effective covariances at AP l of the
+    UEs other than k on k's pilot: the reference estimator map or error covariance."""
+    front = None if fronts is None else fronts[l]
+    others = [effective_covariance(R[i, l], front) for i in np.flatnonzero(pilot_of == pilot_of[k]) if i != k]
+    return form(R[k, l], front, others, cfg)
+
+
+def estimate_cross_covariance(R, fronts, pilot_of, cfg, k, i, l):
+    """E[ghat_kl ghat_il^H] = sqrt(tpp) Q_kl (E_l B_il)^H = tpp Q_kl G^-1 Q_il for co-pilot UEs k
+    and i, with B_il the reference MMSE map of UE i at AP l."""
+    front = None if fronts is None else fronts[l]
+    b = copilot_reference(mmse_estimator, R, fronts, pilot_of, cfg, i, l)
+    e_b = b if front is None else front @ b
+    return np.sqrt(cfg.tau_p * cfg.pilot_power_w) * effective_covariance(R[k, l], front) @ e_b.conj().T
 
 
 class TestEffectiveStats:
@@ -222,42 +197,29 @@ class TestEffectiveStats:
         pilot_of = np.array([0, 1, 0])
         return EffectiveStats(R, f, pilot_of, cfg), R, f, pilot_of, cfg
 
-    def test_q_matches_scalar_route(self):
-        stats, R, f, _, _ = self.build()
-        for k in range(3):
-            for l in range(2):
-                assert np.allclose(stats.Q[k, l], effective_covariance(R[k, l], f[l]))
-
-    def test_gram_matches_scalar_route(self):
-        stats, R, f, pilot_of, cfg = self.build()
-        for t in range(2):
-            users = np.where(pilot_of == t)[0]
-            for l in range(2):
-                expected = pilot_gram([effective_covariance(R[i, l], f[l]) for i in users], cfg)
-                assert np.allclose(stats.G[t, l], expected)
-
     def test_estimator_map_matches_mmse_estimate(self):
-        stats, R, f, pilot_of, cfg = self.build()
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        for k in range(3):
-            for l in range(2):
-                gram = stats.G[pilot_of[k], l]
-                z = np.linalg.cholesky(gram) @ w
-                effective = stats.T[k, l] @ w
-                reference = f[l] @ mmse_estimate(z, R[k, l], f[l], gram, cfg)
-                assert np.allclose(effective, reference, rtol=1e-9)
+        # T_kl T_il^H is the reference estimates' cross-covariance for every co-pilot pair: the
+        # white draws through T give the MMSE estimates' joint distribution
+        for fronts in (True, False):
+            stats, R, f, pilot_of, cfg = self.build(fronts)
+            for k, i, l in np.ndindex(3, 3, 2):
+                if pilot_of[k] == pilot_of[i]:
+                    expected = estimate_cross_covariance(R, f, pilot_of, cfg, k, i, l)
+                    got = stats.T[k, l] @ stats.T[i, l].conj().T
+                    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_f_matches_error_covariance(self):
-        stats, R, f, pilot_of, cfg = self.build()
-        for k in range(3):
-            for l in range(2):
-                c = error_covariance(R[k, l], f[l], stats.G[pilot_of[k], l], cfg)
-                assert np.allclose(stats.F[k, l], f[l] @ c @ f[l].conj().T, rtol=1e-8)
+        for fronts in (True, False):
+            stats, R, f, pilot_of, cfg = self.build(fronts)
+            for k, l in np.ndindex(3, 2):
+                c = copilot_reference(error_covariance, R, f, pilot_of, cfg, k, l)
+                expected = effective_covariance(c, None if f is None else f[l])
+                assert np.allclose(stats.F[k, l], expected, rtol=1e-12, atol=0)
 
     def test_f_against_40_digits_at_high_pilot_snr(self):
-        # UEs 0 and 1 share pilot 0; at pilot SNRs of 1e8 and 1e7 the direct
-        # form Q - tpp Q G^-1 Q cancels to well above 1e-12 of F
+        # UEs 0 and 1 share pilot 0; at pilot SNRs of 1e8 and 1e7 the direct form
+        # Q - tpp Q G^-1 Q cancels to well above 1e-12 of F: the bank's F and the reference's
+        # information form E C E^H must both hold 1e-12
         cfg = SimConfig(L=1, K=3, M=3, N=3, tau_p=2, ris_rows=1, ris_cols=3)
         tpp = cfg.tau_p * cfg.pilot_power_w
         rng = np.random.default_rng(0)
@@ -267,34 +229,34 @@ class TestEffectiveStats:
         front = (rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3))) / np.sqrt(2.0)
         pilot_of = np.array([0, 0, 1])
         stats = EffectiveStats(R, front, pilot_of, cfg)
+        Q = np.stack([effective_covariance(R[k, 0], front[0]) for k in range(3)])
         for k in range(3):
-            distance = error_covariance_distance(stats.F[k, 0], stats.Q[:, 0], pilot_of, k, cfg.noise_power_w, tpp)
-            assert distance <= 1e-12
+            c = copilot_reference(error_covariance, R, front, pilot_of, cfg, k, 0)
+            for effective in (stats.F[k, 0], effective_covariance(c, front[0])):
+                assert error_covariance_distance(effective, Q, pilot_of, k, cfg.noise_power_w, tpp) <= 1e-12
 
     def test_no_front_dimensions(self):
-        stats, R, _, _, _ = self.build(fronts=False)
+        stats, *_ = self.build(fronts=False)
         assert stats.m == 4
-        assert np.allclose(stats.Q, R)
+        assert stats.T.shape == stats.F.shape == (3, 2, 4, 4)
 
     def test_estimate_moments(self):
-        # E[ghat_k ghat_i^H] = tpp Q_k G^-1 Q_i for co-pilot UEs k, i and 0 otherwise
-        stats, _, _, pilot_of, cfg = self.build()
-        tpp = cfg.tau_p * cfg.pilot_power_w
+        # Monte Carlo: E[ghat_k ghat_i^H] is the reference cross-covariance for co-pilot UEs k, i
+        # and 0 otherwise
+        stats, R, f, pilot_of, cfg = self.build()
         w = stats.sample_pilot_statistics(np.random.default_rng(13), 100_000)
         assert w.shape == (100_000, 2, 2, 2)
         ghat = stats.effective_estimates(w)
         for l in range(2):
+            Q = [effective_covariance(R[k, l], f[l]) for k in range(3)]
             for k in range(3):
                 for i in range(3):
                     cov = ghat[:, l, :, k].T @ ghat[:, l, :, i].conj() / w.shape[0]
                     expected = np.zeros((2, 2), dtype=complex)
                     if pilot_of[k] == pilot_of[i]:
-                        gram = stats.G[pilot_of[k], l]
-                        expected = tpp * stats.Q[k, l] @ np.linalg.solve(gram, stats.Q[i, l])
-                        t_t = stats.T[k, l] @ stats.T[i, l].conj().T
-                        assert np.linalg.norm(t_t - expected) <= 1e-10 * np.linalg.norm(expected)
+                        expected = estimate_cross_covariance(R, f, pilot_of, cfg, k, i, l)
                     scale = np.sqrt(
-                        np.linalg.norm(stats.Q[k, l] - stats.F[k, l]) * np.linalg.norm(stats.Q[i, l] - stats.F[i, l])
+                        np.linalg.norm(Q[k] - stats.F[k, l]) * np.linalg.norm(Q[i] - stats.F[i, l])
                     )
                     assert np.linalg.norm(cov - expected) <= 0.03 * scale
 

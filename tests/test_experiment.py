@@ -53,6 +53,11 @@ class TestSpec:
             ExperimentSpec(cfg=tiny_cfg(), scenarios=("warp_drive",)).validate()
         assert err.value.field == "scenarios"
 
+    def test_scenario_listed_twice(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(cfg=tiny_cfg(), scenarios=("no_ris_small", "no_ris_small")).validate()
+        assert err.value.field == "scenarios"
+
     def test_unknown_combiner(self):
         with pytest.raises(ConfigError) as err:
             ExperimentSpec(cfg=tiny_cfg(), combiner="zf").validate()

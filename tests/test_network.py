@@ -61,7 +61,7 @@ class TestGenerateRealization:
         cfg = small_cfg(area_side_m=0.0, shadowing_std_db=0.0)
         real = generate_realization(cfg, np.random.default_rng(1))
         expected = pathloss_beta(np.hypot(1.0, 10.0))
-        assert np.allclose(real.beta, expected, rtol=1e-12)
+        assert np.allclose(real.beta, expected, rtol=1e-12, atol=0)
 
     def test_no_shadowing_is_deterministic_in_beta(self):
         cfg = small_cfg(shadowing_std_db=0.0)
@@ -70,7 +70,7 @@ class TestGenerateRealization:
             real.ue_positions[:, None, :] - real.ap_positions[None, :, :], axis=-1
         )
         d3d = np.hypot(np.maximum(d2d, 1.0), 10.0)
-        assert np.allclose(real.beta, pathloss_beta(d3d), rtol=1e-12)
+        assert np.allclose(real.beta, pathloss_beta(d3d), rtol=1e-12, atol=0)
         assert np.array_equal(real.shadowing_db, np.zeros((4, 3)))
 
     def test_shadowing_marginal_statistics(self):
@@ -170,8 +170,8 @@ class TestSpatialCorrelation:
         per_pair = build_spatial_correlation(ue, ap, beta, cfg, ris_grid_positions(cfg))
         batched = spatial_correlation_matrices(single_pair(ue, ap, beta), cfg, ris_grid_positions(cfg))[0, 0]
         for r in (per_pair, batched):
-            assert np.allclose(r, r.conj().T)
-            assert np.allclose(np.diag(r).real, beta, rtol=1e-12)
+            assert np.allclose(r, r.conj().T, rtol=0, atol=1e-12 * beta)
+            assert np.allclose(np.diag(r).real, beta, rtol=1e-12, atol=0)
             assert np.min(np.linalg.eigvalsh(r)) >= -1e-12 * beta
 
     def test_matches_numerical_integration(self):
@@ -216,7 +216,7 @@ class TestSpatialCorrelation:
         R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
         assert R.shape == (4, 3, 4, 4)
         traces = np.trace(R, axis1=-2, axis2=-1).real
-        assert np.allclose(traces, 4.0 * real.beta, rtol=1e-12)
+        assert np.allclose(traces, 4.0 * real.beta, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "sizes",

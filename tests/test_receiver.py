@@ -5,6 +5,7 @@ import scipy.linalg
 from cfris.association import Association
 from cfris.config import SimConfig
 from cfris.exceptions import DimensionError
+from cfris.oracles import _random_psd as random_psd
 from cfris.receiver import (
     instantaneous_sinr,
     mmse_combiner,
@@ -18,11 +19,6 @@ def small_cfg(**kw):
     base = dict(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
     base.update(kw)
     return SimConfig(**base)
-
-
-def random_psd(rng, n, scale=1.0):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (x @ x.conj().T) / n
 
 
 def toy_association(serving):

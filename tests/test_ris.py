@@ -6,6 +6,7 @@ import pytest
 from cfris.association import Association
 from cfris.config import SimConfig
 from cfris.network import ChannelStats
+from cfris.oracles import _random_psd as random_psd
 from cfris.ris import (
     build_objective,
     constrained_power_iteration,
@@ -13,11 +14,6 @@ from cfris.ris import (
     received_signal_strength,
     select_long_term_config,
 )
-
-
-def random_psd(rng, n, scale=1.0):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (x @ x.conj().T) / n
 
 
 class TestBuildObjective:
