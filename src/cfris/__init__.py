@@ -37,7 +37,6 @@ from .receiver import (
     instantaneous_sinr,
     mmse_combiner,
     pmmse_combiner,
-    rayleigh_quotient_sinr,
     spectral_efficiency,
 )
 from .ris import (

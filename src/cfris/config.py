@@ -19,7 +19,7 @@ _DEFAULT_BOX_DEPTH_M = 12.0 * SPEED_OF_LIGHT / 2e9
 _POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "element_spacing",
                     "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
 _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m", "seed")
-_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
 
 
 @dataclass
@@ -73,7 +73,7 @@ class SimConfig:
         """Raise ConfigError naming the first offending field."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, _ACCEPTED[f.type]):
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED[f.type]):
                 raise ConfigError(f.name, f"must be of type {f.type.__name__}, got {value!r}")
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f.name, "must be finite")

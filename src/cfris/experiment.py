@@ -9,6 +9,7 @@ which makes the output independent of thread scheduling.
 """
 
 import csv
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,8 +58,8 @@ class ExperimentSpec:
                 raise ConfigError("scenarios", f"scenario {name!r} listed twice")
         if self.combiner not in ("pmmse", "mmse"):
             raise ConfigError("combiner", f"unknown combiner {self.combiner!r}")
-        if self.threads < 1:
-            raise ConfigError("threads", "need at least one worker thread")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, numbers.Integral) or self.threads < 1:
+            raise ConfigError("threads", f"must be an integer of at least 1, got {self.threads!r}")
         return self
 
 

@@ -19,8 +19,7 @@ from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
 from .network import (NetworkRealization, active_array_positions, build_spatial_correlation, generate_realization,
                       ris_grid_positions, spatial_correlation_matrices)
-from .receiver import (_restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner,
-                       rayleigh_quotient_sinr, spectral_efficiency)
+from .receiver import _restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner, spectral_efficiency
 from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
 
 
@@ -156,9 +155,11 @@ def _random_receiver_instance(rng, cfg, serving):
 
 
 def check_receiver_suite(rng):
-    """Receiver: SINR identity, MMSE dominance, scale invariance, partial = full on overlap."""
+    """Receiver: SINR identity (direct form against the quotient eta |v^H ghat_k|^2 / v^H B v),
+    MMSE dominance, scale invariance, partial = full on overlap."""
     cfg = SimConfig(L=2, K=3, M=2, N=2, tau_p=3, ris_rows=1, ris_cols=2)
     serving = [[True, True, False], [True, False, True]]
+    eta = np.full(cfg.K, cfg.data_power_w)
 
     worst_identity = 0.0
     worst_scale = 0.0
@@ -168,14 +169,17 @@ def check_receiver_suite(rng):
         k = int(rng.integers(3))
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         direct = instantaneous_sinr(k, v, ghat, F, assoc, cfg)
-        quotient = rayleigh_quotient_sinr(k, v, ghat, F, assoc, cfg)
+        others = ghat.copy()
+        others[k] = 0.0   # B: the other UEs' outer products, all K error blocks and the noise
+        idx, d, B = _restricted_outer_sum(k, others, F, assoc, eta, cfg.noise_power_w, range(cfg.K))
+        vs = v.reshape(cfg.L, -1)[idx].reshape(d)
+        quotient = eta[k] * abs(np.vdot(vs, ghat[k][idx].reshape(d))) ** 2 / np.vdot(vs, B @ vs).real
         worst_identity = max(worst_identity, abs(direct - quotient) / direct)
         scaled = instantaneous_sinr(k, (1.7 + 0.3j) * v, ghat, F, assoc, cfg)
         worst_scale = max(worst_scale, abs(scaled - direct) / direct)
 
         vm = mmse_combiner(k, ghat, F, assoc, cfg)
         best = instantaneous_sinr(k, vm, ghat, F, assoc, cfg)
-        idx = assoc.serving_sets[k]
         for _ in range(200):
             cand = np.zeros((2, 2), dtype=complex)
             cand[idx] = rng.standard_normal((len(idx), 2)) + 1j * rng.standard_normal(

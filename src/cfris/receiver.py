@@ -5,7 +5,7 @@ per-AP effective channel estimates (shape (L, m)) and F[i] the per-AP
 effective error-covariance blocks (shape (L, m, m)); the collective error
 covariance is block diagonal, so no LM x LM matrices are ever formed. The
 combiner solve runs on the serving subspace of UE k, which gives the same
-vector as the full-dimensional formula.
+vector as the full-dimensional formula. The SINR has one direct form.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from .exceptions import DimensionError
 
 
 def _restricted_outer_sum(k, ghat, F, assoc, eta, sigma2, partners):
-    idx = assoc.serving_sets[k]
+    idx = np.flatnonzero(assoc.serving_matrix[:, k])
     m = ghat.shape[2]
     d = len(idx) * m
     mat = sigma2 * np.eye(d, dtype=complex)
@@ -46,49 +46,21 @@ def pmmse_combiner(k, ghat, F, assoc, cfg):
     return _combiner(k, ghat, F, assoc, cfg, partners=assoc.pmmse_partners(k))
 
 
-def _blocks(v, L):
-    if v.shape[0] % L:
-        raise DimensionError(f"combiner length {v.shape[0]} is not a multiple of L={L}")
-    return v.reshape(L, -1)
-
-
 def instantaneous_sinr(k, v, ghat, F, assoc, cfg):
-    """Effective SINR of UE k for an arbitrary combiner (direct form)."""
-    K, L, m = ghat.shape
-    eta = np.full(K, cfg.data_power_w)
-    vb = _blocks(np.asarray(v, dtype=complex), L)
-    mask = assoc.serving_matrix[:, k]
-    dv = np.where(mask[:, None], vb, 0.0)
-    cross = np.einsum("lm,ilm->i", dv.conj(), ghat)
-    signal = eta[k] * np.abs(cross[k]) ** 2
-    interference = float(np.sum(eta * np.abs(cross) ** 2) - eta[k] * np.abs(cross[k]) ** 2)
-    # error-covariance term computed blockwise on the serving APs
-    z_term = 0.0
-    for l in np.where(mask)[0]:
-        fsum = np.tensordot(eta, F[:, l], axes=(0, 0))
-        z_term += float(np.real(vb[l].conj() @ fsum @ vb[l]))
-    noise = cfg.noise_power_w * float(np.real(dv.conj().ravel() @ dv.ravel()))
-    return float(signal / (interference + z_term + noise))
-
-
-def rayleigh_quotient_sinr(k, v, ghat, F, assoc, cfg):
-    """Same SINR written as a generalized Rayleigh quotient (cross-check)."""
-    K, L, m = ghat.shape
-    eta = np.full(K, cfg.data_power_w)
-    vb = _blocks(np.asarray(v, dtype=complex), L)
-    mask = assoc.serving_matrix[:, k]
-    dv = np.where(mask[:, None], vb, 0.0)
-    cross = np.einsum("lm,ilm->i", dv.conj(), ghat)
-    numerator = eta[k] * np.abs(cross[k]) ** 2
-    denom = 0.0
-    for i in range(K):
-        if i != k:
-            denom += eta[i] * np.abs(cross[i]) ** 2
-    for l in np.where(mask)[0]:
-        fsum = np.tensordot(eta, F[:, l], axes=(0, 0))
-        denom += float(np.real(dv[l].conj() @ fsum @ dv[l]))
-    denom += cfg.noise_power_w * float(np.real(vb.conj().ravel() @ dv.ravel()))
-    return float(numerator / denom)
+    """Effective SINR of UE k for a combiner v of shape (L*m,), on k's serving APs. The interference
+    sums the other UEs' powers over i != k: total power minus signal would cancel at high SINR."""
+    L, m = ghat.shape[1:]
+    v = np.asarray(v, dtype=complex)
+    if v.shape[0] != L * m:
+        raise DimensionError(f"combiner length {v.shape[0]} is not L*m={L * m}")
+    idx = np.flatnonzero(assoc.serving_matrix[:, k])
+    vs = v.reshape(L, m)[idx]
+    eta = cfg.data_power_w
+    power = eta * np.abs(np.einsum("lm,ilm->i", vs.conj(), ghat[:, idx])) ** 2
+    interference = np.delete(power, k).sum()
+    error = eta * np.einsum("lm,ilmn,ln->", vs.conj(), F[:, idx], vs).real
+    noise = cfg.noise_power_w * np.vdot(vs, vs).real
+    return float(power[k] / (interference + error + noise))
 
 
 def spectral_efficiency(sinr_samples, cfg):

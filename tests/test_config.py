@@ -69,6 +69,8 @@ class TestValidation:
             ("mc_channel_realizations", 2.5),
             ("seed", 1.5),
             ("array_geometry", 3),
+            ("K", True),
+            ("pilot_power_mw", True),
         ],
     )
     def test_invalid_field_named_in_error(self, field, value):

@@ -22,6 +22,7 @@ from cfris.experiment import (
     run_experiment,
 )
 from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
+from cfris.receiver import instantaneous_sinr, pmmse_combiner, spectral_efficiency
 from exact_values import pmmse_se
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,8 +65,9 @@ class TestSpec:
         assert err.value.field == "combiner"
 
     def test_threads_at_least_one(self):
-        with pytest.raises(ConfigError, match="threads"):
-            ExperimentSpec(cfg=tiny_cfg(), threads=0).validate()
+        for threads in (0, 1.5, True):   # a bool is an int, but not a thread count
+            with pytest.raises(ConfigError, match="threads"):
+                ExperimentSpec(cfg=tiny_cfg(), threads=threads).validate()
 
 
 class TestFrontChannels:
@@ -160,7 +162,8 @@ class TestSeKernel:
 
     @staticmethod
     def _kernel_against_40_digits(cfg, ghat, F, assoc):
-        """Kernel SE on the fixed blocks ghat (blocks, L, m, K) and the 40-digit P-MMSE SE."""
+        """Kernel SE on the fixed blocks ghat (blocks, L, m, K), the reference chain's SE on the
+        same blocks and the 40-digit P-MMSE SE."""
         blocks, L, m, K = ghat.shape
 
         class FixedBlocks:   # stands in for EffectiveStats: the blocks are ghat itself
@@ -172,7 +175,13 @@ class TestSeKernel:
 
         stats = FixedBlocks()
         stats.K, stats.L, stats.m, stats.F = K, L, m, F
-        return block_batched_se(stats, assoc, cfg, None, n_blocks=blocks), pmmse_se(cfg, ghat, F, assoc)
+        per_block = np.moveaxis(ghat, -1, 1)   # (blocks, K, L, m)
+        reference = np.array([
+            spectral_efficiency([instantaneous_sinr(k, pmmse_combiner(k, g, F, assoc, cfg), g, F, assoc, cfg)
+                                 for g in per_block], cfg)
+            for k in range(K)])
+        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
+        return fast, reference, pmmse_se(cfg, ghat, F, assoc)
 
     def test_high_sinr_accuracy_against_40_digits(self):
         # SINRs of 1e8 and more, where a combiner formed as the difference of two
@@ -187,9 +196,11 @@ class TestSeKernel:
         F = 1e-3 * unit * x @ x.conj().swapaxes(-1, -2) / m
         # every AP serves every UE, so both combiners are the full MMSE combiner
         assoc = Association(np.arange(K), np.zeros(K, dtype=int), np.ones((L, K), dtype=bool))
-        fast, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
+        fast, reference, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
         assert exact.min() > np.log2(1e7)
         assert np.max(np.abs(fast - exact) / exact) <= 1e-9
+        # the reference sums the interference over the other UEs, so it does not cancel
+        assert np.max(np.abs(reference - exact) / exact) <= 1e-12
 
     def test_high_sinr_accuracy_with_non_partners_against_40_digits(self):
         # K > tau_p on a chain of serving sets: UEs 0 and 3 share no AP, nor do 0 and 2, so
@@ -207,9 +218,10 @@ class TestSeKernel:
         F = np.where(serving.T, 1e-3, 0.5)[..., None, None] * unit * x @ x.conj().swapaxes(-1, -2) / m
         assoc = Association(np.array([0, 1, 0, 1]), np.array([0, 1, 1, 2]), serving)
         assert all(len(assoc.pmmse_partners(k)) < K for k in range(K))
-        fast, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
+        fast, reference, exact = self._kernel_against_40_digits(cfg, ghat, F, assoc)
         assert exact.min() > np.log2(1e7)
         assert np.max(np.abs(fast - exact) / exact) <= 1e-9
+        assert np.max(np.abs(reference - exact) / exact) <= 1e-9
 
 
 class TestReportMath:
