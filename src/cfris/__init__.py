@@ -28,7 +28,7 @@ from .linalg import hermitian_eig, sample_complex_gaussian
 from .network import (
     ChannelStats,
     NetworkRealization,
-    build_ap_ris_channel,
+    build_ap_ris_channels,
     build_spatial_correlation,
     generate_realization,
     pathloss_beta,

@@ -42,34 +42,29 @@ class Association:
 
 
 def assign_pilots_and_clusters(real, cfg):
+    """Pilots in UE order, then serving as array code over the (tau_p, K) pilot one-hot."""
     beta = real.beta
     K, L = beta.shape
     tau_p = cfg.tau_p
     master = np.argmax(beta, axis=1)
-    pilot_of = np.full(K, -1, dtype=int)
-    for k in range(K):
-        if k < tau_p:
-            pilot_of[k] = k
-            continue
-        interference = np.zeros(tau_p)
-        for i in range(k):
-            interference[pilot_of[i]] += beta[i, master[k]]
-        blocked = {pilot_of[i] for i in range(k) if master[i] == master[k]}
-        candidates = [t for t in range(tau_p) if t not in blocked]
-        if not candidates:
-            candidates = list(range(tau_p))
-        # argmin with ties broken by lowest pilot index
-        pilot_of[k] = min(candidates, key=lambda t: (interference[t], t))
+    pilot_of = np.arange(K)                 # UE k < tau_p keeps pilot k
+    for k in range(tau_p, K):
+        # summed in UE order, as a per-UE loop would, so ties resolve the same way
+        interference = np.bincount(pilot_of[:k], weights=beta[:k, master[k]], minlength=tau_p)
+        blocked = np.zeros(tau_p, dtype=bool)
+        blocked[pilot_of[:k][master[:k] == master[k]]] = True
+        if not blocked.all():
+            interference[blocked] = np.inf
+        pilot_of[k] = np.argmin(interference)   # ties go to the lowest pilot index
 
+    # per (pilot, AP): the strongest co-pilot UE (first index on ties), unless a master claims it
+    onehot = pilot_of == np.arange(tau_p)[:, None]                          # (tau_p, K)
+    strongest = np.argmax(np.where(onehot[:, :, None], beta, -np.inf), axis=1)   # (tau_p, L)
+    claimed = np.zeros((tau_p, L), dtype=bool)
+    claimed[pilot_of, master] = True
+    t, l = np.nonzero(onehot.any(axis=1)[:, None] & ~claimed)
     serving = np.zeros((L, K), dtype=bool)
-    for l in range(L):
-        for t in np.unique(pilot_of):
-            claimants = np.where((master == l) & (pilot_of == t))[0]
-            if claimants.size:
-                serving[l, claimants] = True
-            else:
-                copilots = np.where(pilot_of == t)[0]
-                serving[l, copilots[np.argmax(beta[copilots, l])]] = True
+    serving[l, strongest[t, l]] = True
     serving[master, np.arange(K)] = True
 
     return Association(pilot_of, master, serving)

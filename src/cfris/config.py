@@ -91,8 +91,12 @@ class SimConfig:
             raise ConfigError("tau_p", "pilot length must be shorter than the coherence block")
         if self.ris_rows < 1 or self.ris_rows * self.ris_cols != self.N:
             raise ConfigError("ris_rows", "ris_rows and ris_cols must be positive with product N")
-        if self.noise_power_w <= 0:
-            raise ConfigError("noise_power_dbm", "noise power must be positive")
+        try:
+            noise_w = self.noise_power_w
+        except OverflowError:
+            noise_w = math.inf
+        if not 0 < noise_w < math.inf:
+            raise ConfigError("noise_power_dbm", "noise power in watts must be positive and finite")
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")

@@ -23,7 +23,7 @@ from .exceptions import ConfigError, ModelError
 from .network import (
     ChannelStats,
     active_array_positions,
-    build_ap_ris_channel,
+    build_ap_ris_channels,
     generate_realization,
     ris_grid_positions,
     spatial_correlation_matrices,
@@ -90,9 +90,7 @@ def _rng(*key):
 
 def front_channels(cfg):
     """Fixed per-AP front matrices, seeded by (seed, AP index) only."""
-    return np.stack(
-        [build_ap_ris_channel(cfg, _rng(cfg.seed, _TAG_FRONT, l)) for l in range(cfg.L)]
-    )
+    return build_ap_ris_channels(cfg, [_rng(cfg.seed, _TAG_FRONT, l) for l in range(cfg.L)])
 
 
 def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):

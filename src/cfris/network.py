@@ -224,25 +224,26 @@ def los_matrix(antenna_positions, element_positions, wavelength):
     return (wavelength / (4.0 * np.pi * d)) * np.exp(-2j * np.pi * d / wavelength)
 
 
-def build_ap_ris_channel(cfg, rng):
-    """Fixed M x N front channel with unit-norm columns.
+def build_ap_ris_channels(cfg, rngs):
+    """Fixed M x N front channels with unit-norm columns, one per rng; shape (len(rngs), M, N).
 
     Each column is sqrt(alpha) * LOS direction + sqrt(1-alpha) * NLOS
-    direction, where the NLOS draw (i.i.d. complex Gaussian) is projected
-    onto the orthogonal complement of the LOS direction, so the column norm
-    is exactly one and the LOS power fraction is exactly alpha. With M = 1
-    there is no orthogonal complement and the column is pure LOS.
+    direction, where the NLOS draw (i.i.d. complex Gaussian, from that
+    front's rng) is projected onto the orthogonal complement of the LOS
+    direction, so the column norm is exactly one and the LOS power fraction
+    is exactly alpha. The LOS directions depend on cfg only and are built
+    once. With M = 1 there is no orthogonal complement and every column is
+    pure LOS.
     """
-    lam = cfg.wavelength_m
     antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
-    elements = ris_grid_positions(cfg)
-    los = los_matrix(antennas, elements, lam)
+    los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
     alpha = cfg.rician_los_fraction
     u_los = los / np.linalg.norm(los, axis=0, keepdims=True)
     if cfg.M == 1 or alpha == 1.0:
-        return u_los
-    g = (rng.standard_normal(los.shape) + 1j * rng.standard_normal(los.shape)) / np.sqrt(2.0)
-    g = g - u_los * np.sum(u_los.conj() * g, axis=0, keepdims=True)
-    norms = np.linalg.norm(g, axis=0, keepdims=True)
+        return np.repeat(u_los[None], len(rngs), axis=0)
+    g = np.stack([rng.standard_normal(los.shape) + 1j * rng.standard_normal(los.shape) for rng in rngs])
+    g /= np.sqrt(2.0)
+    g = g - u_los * np.sum(u_los.conj() * g, axis=1, keepdims=True)
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
     u_nlos = g / np.where(norms > 0, norms, 1.0)
     return np.sqrt(alpha) * u_los + np.sqrt(1.0 - alpha) * u_nlos

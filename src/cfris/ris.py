@@ -2,8 +2,8 @@
 
 The per-AP objective is the total received signal strength of the served
 UEs, a quadratic form psi^H A_l psi in the unit-modulus phase vector. It is
-maximized with a constrained power iteration: normalize A psi, then project
-every entry back onto the unit circle. Monotonicity of the objective is
+maximized with a constrained power iteration: project every entry of A psi
+back onto the unit circle, one matrix-vector product per step. Monotonicity of the objective is
 measured at runtime (warning on decrease), not assumed.
 """
 
@@ -55,20 +55,27 @@ def quadratic_objective(psi, A):
 def constrained_power_iteration(A, iterations=DEFAULT_ITERATIONS):
     """Unit-modulus phase vector maximizing psi^H A psi (heuristically).
 
-    Starts from the all-ones vector; exits early once the relative objective
-    gain drops below RELATIVE_GAIN_EXIT. If A psi vanishes (possible when
-    A = 0) the current iterate is returned unchanged.
+    Starts from the all-ones vector. Each step projects w = A psi entrywise
+    onto the unit circle, w / |w| (an entry with w_n = 0 maps to 1), and
+    forms one product A psi for the candidate: it gives the candidate's
+    objective and is the next step's w. Exits early once the relative
+    objective gain drops below RELATIVE_GAIN_EXIT. If A psi vanishes
+    (possible when A = 0) the current iterate is returned unchanged.
     """
     n = A.shape[0]
     psi = np.ones(n, dtype=complex)
     obj = quadratic_objective(psi, A)
+    w = A @ psi
     for _ in range(max(int(iterations), 1)):
-        w = A @ psi
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        candidate = np.exp(1j * np.angle(w / norm))
-        new_obj = quadratic_objective(candidate, A)
+        mag = np.abs(w)
+        if not mag.all():
+            if not mag.any():
+                break
+            zero = mag == 0
+            w[zero], mag[zero] = 1.0, 1.0
+        candidate = w / mag
+        w = A @ candidate
+        new_obj = np.vdot(candidate, w).real
         if new_obj < obj - 1e-9 * max(abs(obj), 1e-300):
             warnings.warn(
                 "constrained power iteration objective decreased "
@@ -77,7 +84,6 @@ def constrained_power_iteration(A, iterations=DEFAULT_ITERATIONS):
             )
         psi = candidate
         if abs(new_obj - obj) <= RELATIVE_GAIN_EXIT * max(abs(new_obj), 1e-300):
-            obj = new_obj
             break
         obj = new_obj
     return psi

@@ -123,3 +123,55 @@ class TestProperties:
             assert assoc.serving_sets[k] == list(np.where(assoc.serving_matrix[:, k])[0])
             assert k in assoc.pmmse_partners(k)
 
+
+
+def loop_reference(beta, tau_p):
+    """The per-UE and per-(AP, pilot) loops the array code replaced, written out."""
+    K, L = beta.shape
+    master = np.argmax(beta, axis=1)
+    pilot_of = np.full(K, -1, dtype=int)
+    for k in range(K):
+        if k < tau_p:
+            pilot_of[k] = k
+            continue
+        interference = np.zeros(tau_p)
+        for i in range(k):
+            interference[pilot_of[i]] += beta[i, master[k]]
+        blocked = {pilot_of[i] for i in range(k) if master[i] == master[k]}
+        candidates = [t for t in range(tau_p) if t not in blocked] or list(range(tau_p))
+        pilot_of[k] = min(candidates, key=lambda t: (interference[t], t))
+    serving = np.zeros((L, K), dtype=bool)
+    for l in range(L):
+        for t in np.unique(pilot_of):
+            claimants = np.where((master == l) & (pilot_of == t))[0]
+            if claimants.size:
+                serving[l, claimants] = True
+            else:
+                copilots = np.where(pilot_of == t)[0]
+                serving[l, copilots[np.argmax(beta[copilots, l])]] = True
+    serving[master, np.arange(K)] = True
+    return pilot_of, serving
+
+
+class TestAgainstLoopReference:
+    @pytest.mark.parametrize("seed, kind", enumerate(["integer", "continuous", "unused_pilots", "one_master"]))
+    def test_bit_equal_on_random_beta(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            K, L, tau_p = int(rng.integers(1, 25)), int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            if kind == "integer":              # small integers force ties in both argmins
+                beta = rng.integers(1, 4, size=(K, L)).astype(float)
+            elif kind == "continuous":
+                beta = rng.exponential(size=(K, L))
+            elif kind == "unused_pilots":      # K < tau_p
+                K = int(rng.integers(1, tau_p + 1))
+                tau_p += 1
+                beta = rng.integers(1, 3, size=(K, L)).astype(float)
+            else:                              # K > tau_p, every pilot claimed at AP 0
+                K = tau_p + int(rng.integers(1, 8))
+                beta = rng.uniform(size=(K, L))
+                beta[:, 0] += 10.0
+            assoc = assign_pilots_and_clusters(make_realization(beta), cfg_for(beta, tau_p))
+            pilot_of, serving = loop_reference(beta, tau_p)
+            assert assoc.pilot_of.dtype == pilot_of.dtype and np.array_equal(assoc.pilot_of, pilot_of)
+            assert np.array_equal(assoc.serving_matrix, serving)

@@ -52,6 +52,7 @@ class TestValidation:
             ("mc_channel_realizations", 0),
             ("area_side_m", -5.0),
             ("noise_power_dbm", float("nan")),
+            ("noise_power_dbm", 4000.0),
             ("area_side_m", float("nan")),
             ("pilot_power_mw", float("inf")),
             ("ap_height_m", float("-inf")),

@@ -6,7 +6,7 @@ from cfris.network import (
     NetworkRealization,
     _gauss_hermite_nodes,
     active_array_positions,
-    build_ap_ris_channel,
+    build_ap_ris_channels,
     build_spatial_correlation,
     generate_realization,
     los_matrix,
@@ -279,14 +279,14 @@ class TestFrontChannel:
 
     def test_unit_norm_columns(self):
         cfg = SimConfig()
-        h = build_ap_ris_channel(cfg, np.random.default_rng(0))
+        h = build_ap_ris_channels(cfg, [np.random.default_rng(0)])[0]
         assert h.shape == (4, 36)
         assert np.allclose(np.linalg.norm(h, axis=0), 1.0, atol=1e-12)
 
     def test_los_power_fraction(self):
         cfg = SimConfig()
         rng = np.random.default_rng(1)
-        h = build_ap_ris_channel(cfg, rng)
+        h = build_ap_ris_channels(cfg, [rng])[0]
         antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
         los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
         u = los / np.linalg.norm(los, axis=0, keepdims=True)
@@ -295,19 +295,19 @@ class TestFrontChannel:
 
     def test_single_antenna_pure_los(self):
         cfg = small_cfg(M=1)
-        h = build_ap_ris_channel(cfg, np.random.default_rng(2))
+        h = build_ap_ris_channels(cfg, [np.random.default_rng(2)])[0]
         antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
         los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
         assert np.allclose(h, los / np.linalg.norm(los, axis=0, keepdims=True))
 
     def test_full_los_fraction(self):
         cfg = small_cfg(rician_los_fraction=1.0)
-        a = build_ap_ris_channel(cfg, np.random.default_rng(3))
-        b = build_ap_ris_channel(cfg, np.random.default_rng(4))
+        a = build_ap_ris_channels(cfg, [np.random.default_rng(3)])[0]
+        b = build_ap_ris_channels(cfg, [np.random.default_rng(4)])[0]
         assert np.array_equal(a, b)  # no randomness left
 
     def test_deterministic_per_seed(self):
         cfg = SimConfig()
-        a = build_ap_ris_channel(cfg, np.random.default_rng(7))
-        b = build_ap_ris_channel(cfg, np.random.default_rng(7))
+        a = build_ap_ris_channels(cfg, [np.random.default_rng(7)])[0]
+        b = build_ap_ris_channels(cfg, [np.random.default_rng(7)])[0]
         assert np.array_equal(a, b)

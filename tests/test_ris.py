@@ -82,6 +82,17 @@ class TestPowerIteration:
         psi = constrained_power_iteration(np.zeros((4, 4)))
         assert np.array_equal(psi, np.ones(4, dtype=complex))
 
+    def test_zero_block_entries_project_to_one(self):
+        # A psi is zero on the second block at every step; 0 / 0 there would give NaN and a warning
+        a = np.zeros((5, 5), dtype=complex)
+        a[:3, :3] = random_psd(np.random.default_rng(10), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = constrained_power_iteration(a)
+        assert np.all(np.isfinite(psi))
+        assert np.allclose(np.abs(psi), 1.0, atol=1e-12)
+        assert np.array_equal(psi[3:], np.ones(2, dtype=complex))
+
     def test_rank_one_analytic_optimum(self):
         # A = conj(a) a^T: the optimum is psi_n = exp(-j arg a_n) up to a
         # global phase, with value (sum |a_n|)^2

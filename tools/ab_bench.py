@@ -1,0 +1,110 @@
+"""A/B benchmark: a git revision against the working tree, in alternating pairs.
+
+    python3 tools/ab_bench.py HEAD~1 --workload longterm --workload dense \
+        --pairs 10 --seeds 1,2,3,4
+
+The revision is checked out as a temporary ``git worktree`` (removed on
+exit). For each workload, pair i runs ``perfbench/run.py`` once in each tree
+with seed ``seeds[i % len(seeds)]``; the side that runs first alternates, so
+a slow spell of a shared machine does not always hit the same side. The
+benchmark itself is called unchanged, one process per run. For every
+end-to-end metric that ``BENCHMARK.json`` lists, the summary gives both
+sides' median and quartiles and the number of pairs the working tree wins.
+Standard library only.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("revision", help="git revision to compare the working tree against")
+    parser.add_argument("--workload", action="append", required=True, help="perfbench workload; repeatable")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default="1,2,3,4", help="comma-separated; pair i takes seeds[i %% len(seeds)]")
+    parser.add_argument("--seconds", type=float, help="run length; default: run_seconds of BENCHMARK.json")
+    args = parser.parse_args(argv)
+    args.seeds = [int(s) for s in args.seeds.split(",")]
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def bench(tree, workload, seed, seconds):
+    """One perfbench run in ``tree``; returns its final JSON line."""
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stdout}{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(workload, metrics, results):
+    """Print one line per end-to-end metric; ``results`` holds (base, new) JSON pairs."""
+    print(f"\n{workload}: {len(results)} pairs, base = revision, new = working tree")
+    for base, new in results:
+        for side, result in (("base", base), ("new", new)):
+            if not result["correct"] or result["failed"]:
+                print(f"  {side} run incorrect: {result['failed']} of {result['attempted']} evaluations failed")
+    print(f"  {'metric':16s} {'base q1 / median / q3':>30s} {'new q1 / median / q3':>30s} {'ratio':>7s} {'new wins':>9s}")
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        base = [b["metrics"][name]["value"] for b, _ in results]
+        new = [n["metrics"][name]["value"] for _, n in results]
+        wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
+        bq, nq = quartiles(base), quartiles(new)
+        print(f"  {name:16s} {bq[0]:9.4g} / {bq[1]:9.4g} / {bq[2]:9.4g}  {nq[0]:9.4g} / {nq[1]:9.4g} / {nq[2]:9.4g} "
+              f"{nq[1] / bq[1]:7.3f} {wins:5d}/{len(results)}")
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        declared = json.load(handle)
+    metrics = declared["end_to_end"]
+    if args.seconds is None:
+        args.seconds = declared["run_seconds"]
+    scratch = tempfile.mkdtemp(prefix="ab_bench-")
+    base_tree = os.path.join(scratch, "base")
+    subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", base_tree, args.revision],
+                   check=True, capture_output=True)
+    try:
+        for workload in args.workload:
+            results = []
+            for i in range(args.pairs):
+                seed = args.seeds[i % len(args.seeds)]
+                order = [("base", base_tree), ("new", ROOT)]
+                if i % 2:
+                    order.reverse()
+                pair = {side: bench(tree, workload, seed, args.seconds) for side, tree in order}
+                results.append((pair["base"], pair["new"]))
+                print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}, {order[0][0]} first): "
+                      + ", ".join(f"{m['name']} {pair['base']['metrics'][m['name']]['value']:.4g} -> "
+                                  f"{pair['new']['metrics'][m['name']]['value']:.4g}" for m in metrics),
+                      flush=True)
+            summarize(workload, metrics, results)
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base_tree], capture_output=True)
+        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
