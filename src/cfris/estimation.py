@@ -7,7 +7,7 @@ no-RIS receiver is the special case E_l = I, passed as front None.
 
 import numpy as np
 
-from .linalg import psd_sqrt
+from .linalg import psd_sqrt, tril_inv
 
 
 def effective_front(H_l, psi_l):
@@ -62,6 +62,12 @@ class EffectiveStats:
     statistic z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
     sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates are one batched
     gemm of T with the blocks as the columns. Members are immutable.
+
+    L^-1 is the triangular inverse of the Cholesky factor (linalg.tril_inv).
+    When no UE shares its pilot (K <= tau_p) the co-pilot sum is empty, so
+    F_kl = (Q_kl L^-H)(sigma^2 L^-1) forms no sum and no product with it; and
+    since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
+    slices that copy nothing.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -70,6 +76,8 @@ class EffectiveStats:
         tpp = cfg.tau_p * cfg.pilot_power_w
         self.K, self.L, self.m, self.tau_p = K, L, m, cfg.tau_p
         self.pilot_of = np.asarray(pilot_of)
+        # pilots in UE order (K <= tau_p) make the gather t(k) a slice
+        self._pilots = slice(K) if np.array_equal(self.pilot_of, np.arange(K)) else self.pilot_of
 
         if fronts is None:
             Q = np.asarray(R, dtype=complex)
@@ -77,20 +85,29 @@ class EffectiveStats:
             fh = fronts.conj().swapaxes(-1, -2)
             Q = (fronts[None] @ R) @ fh[None]
 
-        noise = cfg.noise_power_w * np.eye(m)
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
-        G = np.tensordot(tpp * onehot, Q, axes=1)
-        G += noise
-        linv = np.linalg.inv(np.linalg.cholesky(G))[self.pilot_of]   # L_{t(k),l}^-1, (K, L, m, m)
+        gram = np.tensordot(tpp * onehot, Q, axes=1)
+        gram += cfg.noise_power_w * np.eye(m)
+        # each (K, L, m, m) stack is dropped once used, so a bank holds at most four at a time
+        factor = np.linalg.cholesky(gram)
+        del gram
+        linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
+        del factor
         q_lh = Q @ linv.conj().swapaxes(-1, -2)
         # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
         # G - tpp Q_kl is summed from the other co-pilot UEs, never
         # subtracted: at high pilot SNR Q_kl dominates G and the difference
-        # cancels.
+        # cancels. Without co-pilots rest = sigma^2 I, and L^-1 rest is L^-1
+        # scaled, bit for bit.
         copilot = onehot.T @ onehot - np.eye(K)
-        rest = np.tensordot(tpp * copilot, Q, axes=1)
-        rest += noise
-        f = q_lh @ (linv @ rest)
+        if copilot.any():
+            rest = np.tensordot(tpp * copilot, Q, axes=1)
+            rest += cfg.noise_power_w * np.eye(m)
+            linv = linv @ rest
+        else:
+            linv *= cfg.noise_power_w
+        f = q_lh @ linv
+        del linv
         self.F = 0.5 * (f + np.conj(np.swapaxes(f, -1, -2)))
         self.T = np.sqrt(tpp) * q_lh
 
@@ -113,7 +130,7 @@ class EffectiveStats:
         One batched gemm with the blocks as the columns writes (K, L, m,
         blocks); the copy into the C-contiguous result runs per AP, in cache.
         """
-        e = self.T @ w[:, self.pilot_of].transpose(1, 2, 3, 0)
+        e = self.T @ w[:, self._pilots].transpose(1, 2, 3, 0)
         ghat = np.empty((w.shape[0], self.L, self.m, self.K), dtype=complex)
         for l in range(self.L):
             ghat[:, l] = e[:, l].transpose(2, 1, 0)

@@ -118,7 +118,9 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     for (serving, partners), members in groups.items():
         idx, part = np.array(serving), np.array(partners)
         others = sorted(set(range(K)) - set(partners))
-        lam = eta * stats.F[np.ix_(part, idx)].sum(axis=0) + sigma2 * np.eye(m)
+        # a group of every UE on every AP sums F itself, not a copy of it
+        f_part = stats.F if part.size == K and idx.size == stats.L else stats.F[np.ix_(part, idx)]
+        lam = eta * f_part.sum(axis=0) + sigma2 * np.eye(m)
         delta = eta * stats.F[np.ix_(others, idx)].sum(axis=0) if others else None
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
         plan.append((slice(None) if idx.size == stats.L else idx, slice(None) if not others else part, others,
@@ -126,23 +128,32 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):
-        b = min(_BLOCK_CHUNK, n_blocks - start)
-        ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
-        for idx, part, others, lam_inv, delta, members, cols in plan:
-            gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
-            g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
-            a = (lam_inv @ g.reshape(b, lam_inv.shape[0], m, -1)).reshape(g.shape)
-            p = g.conj().swapaxes(1, 2) @ a                    # P = G^H Lambda^-1 G, (b, p, p)
-            y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
-            y_k, q_k = np.einsum("bnn->bn", y[:, cols]).real, np.einsum("bnp,bpn->bn", p[:, cols], y).real
-            eps = 0.0
-            if others:
-                v = a @ y                                      # members' combiners, (b, d, n)
-                vb = v.reshape(b, lam_inv.shape[0], m, -1)
-                eps = eta * np.sum(np.abs(v.conj().swapaxes(1, 2) @ gh[..., others]) ** 2, axis=2)
-                eps += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
-            sum_log[members] += np.log2(1.0 + q_k**2 / (y_k * q_k + eps)).sum(axis=0)
+        _add_chunk_log_sinr(sum_log, stats, plan, rng, min(_BLOCK_CHUNK, n_blocks - start), eta)
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
+
+
+def _add_chunk_log_sinr(sum_log, stats, plan, rng, b, eta):
+    """Draw b blocks and add each plan group's members' log2(1 + SINR) over them to sum_log.
+
+    The chunk's estimates and products live in this frame only, so they are
+    freed before the caller draws the next chunk.
+    """
+    K, m = stats.K, stats.m
+    ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
+    for idx, part, others, lam_inv, delta, members, cols in plan:
+        gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
+        g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
+        a = (lam_inv @ g.reshape(b, lam_inv.shape[0], m, -1)).reshape(g.shape)
+        p = g.conj().swapaxes(1, 2) @ a                    # P = G^H Lambda^-1 G, (b, p, p)
+        y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
+        y_k, q_k = np.einsum("bnn->bn", y[:, cols]).real, np.einsum("bnp,bpn->bn", p[:, cols], y).real
+        eps = 0.0
+        if others:
+            v = a @ y                                      # members' combiners, (b, d, n)
+            vb = v.reshape(b, lam_inv.shape[0], m, -1)
+            eps = eta * np.sum(np.abs(v.conj().swapaxes(1, 2) @ gh[..., others]) ** 2, axis=2)
+            eps += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
+        sum_log[members] += np.log2(1.0 + q_k**2 / (y_k * q_k + eps)).sum(axis=0)
 
 
 def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):

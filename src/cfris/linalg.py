@@ -12,6 +12,29 @@ import numpy as np
 from .exceptions import DimensionError, ModelError
 
 PSD_TOL = 1e-10         # relative (to trace) tolerance on negative eigenvalues
+TRIL_LEAF = 9           # largest lower triangle tril_inv hands to np.linalg.inv whole
+
+
+def tril_inv(a):
+    """Inverse of a stack (..., n, n) of invertible lower triangles, by recursive halving.
+
+    [A, 0; B, D]^-1 = [A^-1, 0; -D^-1 B A^-1, D^-1]: the halves recurse down to
+    triangles of at most TRIL_LEAF rows, which np.linalg.inv inverts. Above
+    the leaves the inverse is exactly triangular; it costs about half a
+    general inverse of the whole factor, and on ill-conditioned factors it
+    leaves about half its residual (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 8). For n <= TRIL_LEAF it is np.linalg.inv.
+    """
+    n = a.shape[-1]
+    if n <= TRIL_LEAF:
+        return np.linalg.inv(a)
+    h = n // 2
+    a_inv, d_inv = tril_inv(a[..., :h, :h]), tril_inv(a[..., h:, h:])
+    out = np.zeros(a.shape, a_inv.dtype)
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = d_inv
+    out[..., h:, :h] = -(d_inv @ (a[..., h:, :h] @ a_inv))
+    return out
 
 
 @dataclass

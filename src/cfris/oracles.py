@@ -245,10 +245,12 @@ def _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks):
 def check_fast_path_equivalence(rng):
     """Batched runner SE equals the per-block reference combining chain, for both combiners,
     RIS fronts and the no-RIS front (None), on a K > tau_p drop (UEs with their own serving
-    sets) and a K <= tau_p drop (every AP serves every UE: all UEs form one group)."""
+    sets), a K <= tau_p drop (every AP serves every UE: all UEs form one group) and a K < tau_p
+    drop on a 4 x 4 grid, whose no-RIS bank inverts 16 x 16 factors recursively and has no
+    co-pilot UEs."""
     worst = cond = 0.0
-    for K, tau_p in ((4, 2), (3, 3)):
-        cfg = SimConfig(L=3, K=K, M=2, N=4, tau_p=tau_p, ris_rows=2, ris_cols=2)
+    for K, tau_p, side in ((4, 2, 2), (3, 3, 2), (3, 4, 4)):
+        cfg = SimConfig(L=3, K=K, M=2, N=side * side, tau_p=tau_p, ris_rows=side, ris_cols=side)
         beta = rng.uniform(0.5, 2.0, size=(K, 3)) * cfg.noise_power_w / cfg.data_power_w
         r, assoc, fronts = _equivalence_drop(rng, cfg, beta)
         for front in (fronts, None):
@@ -258,6 +260,53 @@ def check_fast_path_equivalence(rng):
                 worst = max(worst, float(np.max(np.abs(fast - reference) / reference)))
                 cond = max(cond, float(kappa.max()))
     return "batched SE reference equivalence", worst <= 1e-10, f"max rel err {worst:.2e}, max cond {cond:.1e}"
+
+
+def _copilot_reference(form, R, fronts, pilot_of, cfg, k, l):
+    """form(R_kl, E_l, others, cfg), the others being the effective covariances at AP l of the
+    UEs other than k on k's pilot: the reference estimator map or error covariance."""
+    front = None if fronts is None else fronts[l]
+    others = [effective_covariance(R[i, l], front) for i in np.flatnonzero(pilot_of == pilot_of[k]) if i != k]
+    return form(R[k, l], front, others, cfg)
+
+
+def _estimate_cross_covariance(R, fronts, pilot_of, cfg, k, i, l):
+    """E[ghat_kl ghat_il^H] = sqrt(tpp) Q_kl (E_l B_il)^H = tpp Q_kl G^-1 Q_il for co-pilot UEs k
+    and i, with B_il the reference MMSE map of UE i at AP l."""
+    front = None if fronts is None else fronts[l]
+    b = _copilot_reference(mmse_estimator, R, fronts, pilot_of, cfg, i, l)
+    e_b = b if front is None else front @ b
+    return np.sqrt(cfg.tau_p * cfg.pilot_power_w) * effective_covariance(R[k, l], front) @ e_b.conj().T
+
+
+def estimate_moment_error(stats, R, fronts, cfg, w):
+    """Largest deviation of the sample E[ghat_kl ghat_il^H] over the white draws w from the
+    reference cross-covariance for co-pilot UEs k, i (0 for the others), relative to
+    sqrt(||Q_kl - F_kl|| ||Q_il - F_il||), the two estimates' covariance norms."""
+    ghat = stats.effective_estimates(w)
+    pilot_of = stats.pilot_of
+    worst = 0.0
+    for l in range(stats.L):
+        Q = [effective_covariance(R[k, l], None if fronts is None else fronts[l]) for k in range(stats.K)]
+        for k, i in np.ndindex(stats.K, stats.K):
+            cov = ghat[:, l, :, k].T @ ghat[:, l, :, i].conj() / w.shape[0]
+            expected = np.zeros_like(cov)
+            if pilot_of[k] == pilot_of[i]:
+                expected = _estimate_cross_covariance(R, fronts, pilot_of, cfg, k, i, l)
+            scale = np.sqrt(np.linalg.norm(Q[k] - stats.F[k, l]) * np.linalg.norm(Q[i] - stats.F[i, l]))
+            worst = max(worst, np.linalg.norm(cov - expected) / scale)
+    return worst
+
+
+def check_estimate_moments(rng):
+    """Estimator bank: over 100,000 white draws the sample E[ghat_k ghat_i^H] is the reference
+    cross-covariance for co-pilot UEs k, i and 0 for the others, within 3%."""
+    cfg = SimConfig(L=2, K=3, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
+    R = np.array([[_random_psd(rng, cfg.N, cfg.noise_power_w) for _ in range(cfg.L)] for _ in range(cfg.K)])
+    fronts = rng.standard_normal((cfg.L, cfg.M, cfg.N)) + 1j * rng.standard_normal((cfg.L, cfg.M, cfg.N))
+    stats = EffectiveStats(R, fronts, np.array([0, 1, 0]), cfg)
+    worst = estimate_moment_error(stats, R, fronts, cfg, stats.sample_pilot_statistics(rng, 100_000))
+    return "estimator bank moments within 3% of the reference cross-covariances", worst <= 0.03, f"max rel dev {worst:.3f}"
 
 
 def correlation_build_error(real, cfg, element_positions):
@@ -287,6 +336,7 @@ ALL_CHECKS = (
     check_receiver_suite,
     check_fast_path_equivalence,
     check_correlation_build_equivalence,
+    check_estimate_moments,
 )
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfris.exceptions import DimensionError, ModelError
-from cfris.linalg import hermitian_eig, psd_sqrt, sample_complex_gaussian
+from cfris.linalg import TRIL_LEAF, hermitian_eig, psd_sqrt, sample_complex_gaussian, tril_inv
 
 
 def random_hermitian(rng, n):
@@ -97,3 +97,25 @@ def test_psd_sqrt_squares_back():
     root = psd_sqrt(cov)
     assert np.allclose(root @ root, cov)
     assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10 * np.trace(cov).real
+
+
+class TestTrilInv:
+    @pytest.mark.parametrize("n", [1, 4, 9, 10, 36, 37])
+    def test_residual(self, n):
+        # sizes at, just above and well above the leaf size, even and odd halves; the last
+        # factor is of a Gram whose eigenvalues span 1e-12 to 1
+        assert TRIL_LEAF == 9
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        u = np.linalg.qr(x[-1])[0]
+        gram = x @ x.conj().swapaxes(-1, -2) / n + np.eye(n)
+        gram[-1] = (u * np.logspace(0, -12, n)) @ u.conj().T
+        factor = np.linalg.cholesky(gram)
+        inv = tril_inv(factor)
+        for a, x_inv in zip(factor, inv):
+            assert np.linalg.norm(a @ x_inv - np.eye(n)) <= 1e-13 * np.sqrt(n)
+            assert np.linalg.norm(np.triu(x_inv, 1)) <= 1e-13 * np.linalg.norm(x_inv)
+
+    def test_leaf_is_the_general_inverse(self):
+        a = np.linalg.cholesky(np.diag([4.0, 1.0, 9.0]) + 0.5)
+        assert np.array_equal(tril_inv(a), np.linalg.inv(a))

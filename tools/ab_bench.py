@@ -3,23 +3,34 @@
     python3 tools/ab_bench.py HEAD~1 --workload longterm --workload dense \
         --pairs 10 --seeds 1,2,3,4
 
-The revision is checked out as a temporary ``git worktree`` (removed on
-exit). For each workload, pair i runs ``perfbench/run.py`` once in each tree
-with seed ``seeds[i % len(seeds)]``; the side that runs first alternates, so
-a slow spell of a shared machine does not always hit the same side. The
-benchmark itself is called unchanged, one process per run. For every
-end-to-end metric that ``BENCHMARK.json`` lists, the summary gives both
-sides' median and quartiles and the number of pairs the working tree wins.
+The revision's files are exported with ``git archive`` into a temporary
+directory (removed on exit). For each workload, pair i runs
+``perfbench/run.py`` once in each tree with seed ``seeds[i % len(seeds)]``;
+the side that runs first alternates, so a slow spell of a shared machine
+does not always hit the same side. The benchmark itself is called unchanged,
+one process per run. For every end-to-end metric that ``BENCHMARK.json``
+lists, the summary gives both sides' median and quartiles, the number of
+pairs the working tree wins and a verdict:
+
+- ``gain``: the working tree wins at least 9 in 10 of the pairs (a tie
+  counts for neither side) and its median is better by more than the
+  revision's interquartile range;
+- ``worse``: its median is worse than the revision's by more than the
+  metric's ``bound`` (a fraction of the revision's median);
+- ``unresolved``: neither.
+
 Standard library only.
 """
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,6 +67,17 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(bq, nq, wins, pairs, higher, bound):
+    """"gain", "worse" or "unresolved" from both sides' quartiles and the new side's wins (see the
+    module docstring)."""
+    better_by = (nq[1] - bq[1]) if higher else (bq[1] - nq[1])
+    if wins >= 0.9 * pairs and better_by > bq[2] - bq[0]:
+        return "gain"
+    if -better_by > bound * abs(bq[1]):
+        return "worse"
+    return "unresolved"
+
+
 def summarize(workload, metrics, results):
     """Print one line per end-to-end metric; ``results`` holds (base, new) JSON pairs."""
     print(f"\n{workload}: {len(results)} pairs, base = revision, new = working tree")
@@ -63,7 +85,8 @@ def summarize(workload, metrics, results):
         for side, result in (("base", base), ("new", new)):
             if not result["correct"] or result["failed"]:
                 print(f"  {side} run incorrect: {result['failed']} of {result['attempted']} evaluations failed")
-    print(f"  {'metric':16s} {'base q1 / median / q3':>30s} {'new q1 / median / q3':>30s} {'ratio':>7s} {'new wins':>9s}")
+    print(f"  {'metric':16s} {'base q1 / median / q3':>30s} {'new q1 / median / q3':>30s} {'ratio':>7s} {'new wins':>9s}"
+          f"  verdict")
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         base = [b["metrics"][name]["value"] for b, _ in results]
@@ -71,7 +94,7 @@ def summarize(workload, metrics, results):
         wins = sum((n > b) if higher else (n < b) for b, n in zip(base, new))
         bq, nq = quartiles(base), quartiles(new)
         print(f"  {name:16s} {bq[0]:9.4g} / {bq[1]:9.4g} / {bq[2]:9.4g}  {nq[0]:9.4g} / {nq[1]:9.4g} / {nq[2]:9.4g} "
-              f"{nq[1] / bq[1]:7.3f} {wins:5d}/{len(results)}")
+              f"{nq[1] / bq[1]:7.3f} {wins:5d}/{len(results)}  {verdict(bq, nq, wins, len(results), higher, metric['bound'])}")
 
 
 def main(argv=None):
@@ -83,9 +106,11 @@ def main(argv=None):
         args.seconds = declared["run_seconds"]
     scratch = tempfile.mkdtemp(prefix="ab_bench-")
     base_tree = os.path.join(scratch, "base")
-    subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", base_tree, args.revision],
-                   check=True, capture_output=True)
     try:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", args.revision],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base_tree, filter="data")
         for workload in args.workload:
             results = []
             for i in range(args.pairs):
@@ -101,8 +126,6 @@ def main(argv=None):
                       flush=True)
             summarize(workload, metrics, results)
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", base_tree], capture_output=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
 
 
