@@ -19,6 +19,8 @@ _DEFAULT_BOX_DEPTH_M = 12.0 * SPEED_OF_LIGHT / 2e9
 _POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "element_spacing",
                     "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
 _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m", "seed")
+_AT_LEAST_ONE_FIELDS = ("K", "L", "M", "tau_p", "mc_setups", "mc_channel_realizations")
+_CHOICES = {"array_geometry": ("linear", "planar"), "correlation_model": ("local-scattering", "white")}
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
 
 
@@ -77,16 +79,11 @@ class SimConfig:
                 raise ConfigError(f.name, f"must be of type {f.type.__name__}, got {value!r}")
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f.name, "must be finite")
-        if self.K < 1:
-            raise ConfigError("K", "need at least one UE")
-        if self.L < 1:
-            raise ConfigError("L", "need at least one AP")
-        if self.M < 1:
-            raise ConfigError("M", "need at least one antenna per AP")
+        for name in _AT_LEAST_ONE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ConfigError(name, "must be at least 1")
         if self.N < self.M:
             raise ConfigError("N", "RIS must have at least as many elements as antennas")
-        if self.tau_p < 1:
-            raise ConfigError("tau_p", "need at least one pilot sample")
         if self.tau_p >= self.tau_c:
             raise ConfigError("tau_p", "pilot length must be shorter than the coherence block")
         if self.ris_rows < 1 or self.ris_rows * self.ris_cols != self.N:
@@ -105,14 +102,9 @@ class SimConfig:
                 raise ConfigError(name, "must be non-negative")
         if not 0.0 <= self.rician_los_fraction <= 1.0:
             raise ConfigError("rician_los_fraction", "must lie in [0, 1]")
-        if self.array_geometry not in ("linear", "planar"):
-            raise ConfigError("array_geometry", "must be 'linear' or 'planar'")
-        if self.correlation_model not in ("local-scattering", "white"):
-            raise ConfigError("correlation_model", "must be 'local-scattering' or 'white'")
-        if self.mc_setups < 1:
-            raise ConfigError("mc_setups", "need at least one network realization")
-        if self.mc_channel_realizations < 1:
-            raise ConfigError("mc_channel_realizations", "need at least one coherence block")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(name, f"must be one of {choices}")
         return self
 
     def as_dict(self):

@@ -30,8 +30,15 @@ from .network import (
 )
 from .ris import select_long_term_config
 
-SCENARIOS = ("ris_optimized", "ris_random", "no_ris_small", "no_ris_large")
-_SCENARIO_ID = {name: i for i, name in enumerate(SCENARIOS)}
+# scenario -> (element layout of its correlation stack, phase mode or None without a RIS);
+# a scenario's index seeds its phase and block streams, so reordering changes every SE
+_SCENARIO_TABLE = {
+    "ris_optimized": (ris_grid_positions, "optimized"),
+    "ris_random": (ris_grid_positions, "random"),
+    "no_ris_small": (active_array_positions, None),
+    "no_ris_large": (ris_grid_positions, None),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 # stream tags for counter-based seeding
 _TAG_NETWORK = 1
@@ -52,7 +59,7 @@ class ExperimentSpec:
     def validate(self):
         self.cfg.validate()
         for name in self.scenarios:
-            if name not in _SCENARIO_ID:
+            if name not in _SCENARIO_TABLE:
                 raise ConfigError("scenarios", f"unknown scenario {name!r}")
             if self.scenarios.count(name) > 1:
                 raise ConfigError("scenarios", f"scenario {name!r} listed twice")
@@ -157,35 +164,26 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b, eta):
 
 
 def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
-    """All scenarios for one network realization; returns (n_scen, K)."""
+    """All scenarios for one network realization; returns (n_scen, K). A layout's correlation
+    stack is built for the first scenario that reads it and freed after the last one's bank."""
     real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, setup_idx))
     assoc = assign_pilots_and_clusters(real, cfg)
-
-    grid_scenarios = {"ris_optimized", "ris_random", "no_ris_large"}
-    r_grid = None
-    if grid_scenarios & set(scenarios):
-        r_grid = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
-    r_small = None
-    if "no_ris_small" in scenarios:
-        r_small = spatial_correlation_matrices(real, cfg, active_array_positions(cfg))
-
+    layouts = [_SCENARIO_TABLE[name][0] for name in scenarios]
+    stacks = {}
     out = np.empty((len(scenarios), cfg.K))
     for j, name in enumerate(scenarios):
-        scen_id = _SCENARIO_ID[name]
-        if name == "no_ris_small":
-            stats = EffectiveStats(r_small, None, assoc.pilot_of, cfg)
-        elif name == "no_ris_large":
-            stats = EffectiveStats(r_grid, None, assoc.pilot_of, cfg)
-        else:
-            mode = "optimized" if name == "ris_optimized" else "random"
-            psi = select_long_term_config(
-                ChannelStats(r_grid, fronts),
-                assoc,
-                cfg,
-                mode=mode,
-                rng=_rng(cfg.seed, _TAG_PHASES, setup_idx, scen_id),
-            )
-            stats = EffectiveStats(r_grid, effective_front(fronts, psi), assoc.pilot_of, cfg)
+        layout, mode = _SCENARIO_TABLE[name]
+        scen_id = SCENARIOS.index(name)
+        if layout not in stacks:
+            stacks[layout] = spatial_correlation_matrices(real, cfg, layout(cfg))
+        r = stacks[layout] if layout in layouts[j + 1:] else stacks.pop(layout)
+        front = None
+        if mode is not None:
+            psi = select_long_term_config(ChannelStats(r, fronts), assoc, cfg, mode=mode,
+                                          rng=_rng(cfg.seed, _TAG_PHASES, setup_idx, scen_id))
+            front = effective_front(fronts, psi)
+        stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
+        del r
         rng_blocks = _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id)
         out[j] = block_batched_se(stats, assoc, cfg, rng_blocks, combiner=combiner)
         bad = np.flatnonzero(~np.isfinite(out[j]))
@@ -198,8 +196,7 @@ def run_experiment(spec):
     spec.validate()
     cfg = spec.cfg
     scenarios = list(spec.scenarios)
-    needs_fronts = bool({"ris_optimized", "ris_random"} & set(scenarios))
-    fronts = front_channels(cfg) if needs_fronts else None
+    fronts = front_channels(cfg) if any(_SCENARIO_TABLE[name][1] for name in scenarios) else None
 
     def worker(setup_idx):
         return _run_setup(cfg, scenarios, spec.combiner, fronts, setup_idx)

@@ -5,8 +5,6 @@ large-scale fading spans many orders of magnitude in linear units, so
 absolute thresholds would be meaningless.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DimensionError, ModelError
@@ -37,23 +35,16 @@ def tril_inv(a):
     return out
 
 
-@dataclass
-class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray   # real, shape (n,), sorted descending
-    eigenvectors: np.ndarray  # orthonormal columns, shape (n, n)
-
-
 def hermitian_eig(a):
-    """Eigendecompose a Hermitian matrix (symmetrized internally)."""
+    """Eigenvalues, descending and real, and the orthonormal eigenvectors as columns of a
+    Hermitian matrix (symmetrized internally)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     a = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
-    return HermitianEig(vals[order], vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 def psd_sqrt(cov):
@@ -64,12 +55,12 @@ def psd_sqrt(cov):
     to zero, anything more negative raises ModelError.
     """
     cov = np.asarray(cov, dtype=complex)
-    eig = hermitian_eig(cov)
+    vals, vecs = hermitian_eig(cov)
     trace = np.real(np.trace(cov))
-    if np.min(eig.eigenvalues) < -PSD_TOL * max(trace, 0.0):
+    if np.min(vals) < -PSD_TOL * max(trace, 0.0):
         raise ModelError("covariance has a significantly negative eigenvalue")
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    return (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def sample_complex_gaussian(cov, rng, size=None):

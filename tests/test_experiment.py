@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfris.experiment
 from cfris.association import Association
 from cfris.cli import main as cli_main
 from cfris.config import SimConfig, load_config
@@ -15,14 +17,12 @@ from cfris.experiment import (
     SCENARIOS,
     ExperimentSpec,
     _run_setup,
-    block_batched_se,
     emit_report,
     front_channels,
     load_report,
     run_experiment,
 )
 from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
-from cfris.receiver import instantaneous_sinr, pmmse_combiner, spectral_efficiency
 from exact_values import pmmse_se
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -113,13 +113,42 @@ class TestRunExperiment:
         for name in SCENARIOS:
             assert np.array_equal(serial.se[name], threaded.se[name])
 
-    def test_scenario_subset_matches_full_run(self):
-        # per-scenario RNG streams: results do not depend on which other
-        # scenarios run alongside
+    @pytest.mark.parametrize("order", [
+        ("ris_optimized",),
+        ("no_ris_large", "no_ris_small", "ris_random", "ris_optimized"),
+        ("no_ris_large", "no_ris_small", "ris_random"),
+        ("ris_random", "no_ris_small"),
+    ], ids=["ris_optimized", "reversed", "no_ris_first", "random_and_small"])
+    def test_scenario_subset_matches_full_run(self, order):
+        # per-scenario RNG streams, seeded by the scenario's index in SCENARIOS: results do
+        # not depend on which other scenarios run alongside, nor on their order
+        assert SCENARIOS == ("ris_optimized", "ris_random", "no_ris_small", "no_ris_large")
         cfg = tiny_cfg()
         full = run_experiment(ExperimentSpec(cfg=cfg))
-        only = run_experiment(ExperimentSpec(cfg=cfg, scenarios=("ris_optimized",)))
-        assert np.array_equal(full.se["ris_optimized"], only.se["ris_optimized"])
+        subset = run_experiment(ExperimentSpec(cfg=cfg, scenarios=order))
+        for name in order:
+            assert np.array_equal(full.se[name], subset.se[name])
+
+    def test_correlation_stack_freed_after_its_last_reader(self, monkeypatch):
+        # a layout's stack lives until the bank of the last scenario that reads it: the
+        # N-grid through no_ris_large's bank, the M-array through no_ris_small's
+        stacks, alive = [], []
+        build, kernel = cfris.experiment.spatial_correlation_matrices, cfris.experiment.block_batched_se
+
+        def tracked_build(*args):
+            r = build(*args)
+            stacks.append(weakref.ref(r))
+            return r
+
+        def counting_kernel(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in stacks))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cfris.experiment, "spatial_correlation_matrices", tracked_build)
+        monkeypatch.setattr(cfris.experiment, "block_batched_se", counting_kernel)
+        cfg = tiny_cfg()
+        _run_setup(cfg, SCENARIOS, "pmmse", front_channels(cfg), 0)
+        assert alive == [1, 1, 1, 0]
 
     def test_non_finite_se_names_setup_scenario_and_ue(self):
         # an unvalidated config with NaN noise power gives NaN SINRs
@@ -175,12 +204,7 @@ class TestSeKernel:
 
         stats = FixedBlocks()
         stats.K, stats.L, stats.m, stats.F = K, L, m, F
-        per_block = np.moveaxis(ghat, -1, 1)   # (blocks, K, L, m)
-        reference = np.array([
-            spectral_efficiency([instantaneous_sinr(k, pmmse_combiner(k, g, F, assoc, cfg), g, F, assoc, cfg)
-                                 for g in per_block], cfg)
-            for k in range(K)])
-        fast = block_batched_se(stats, assoc, cfg, None, n_blocks=blocks)
+        fast, reference, _ = _kernel_and_reference(stats, assoc, cfg, "pmmse", n_blocks=blocks)
         return fast, reference, pmmse_se(cfg, ghat, F, assoc)
 
     def test_high_sinr_accuracy_against_40_digits(self):
