@@ -20,6 +20,7 @@ from .association import assign_pilots_and_clusters
 from .config import parse_config_text
 from .estimation import EffectiveStats, effective_front
 from .exceptions import ConfigError, ModelError
+from .linalg import hermitian_gram, tril_inv
 from .network import (
     ChannelStats,
     active_array_positions,
@@ -105,14 +106,18 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
 
     On UE k's serving APs the combiner solves (Lambda + G G^H) v = ghat_k,
     Lambda being the partners' block-diagonal error-plus-noise blocks and G
-    = [sqrt(eta) ghat_i] over the partners. With S = I + P, P = G^H Lambda^-1
-    G and y UE k's column of S^-1, v = Lambda^-1 G y up to a scale the SINR
-    ignores, so G^H v = P y: the signal is q_k^2 and the other partners' power
-    plus v^H Lambda v is y_k q_k, where y_k = [S^-1]_kk and q_k = [P S^-1]_kk =
-    1 - y_k, formed as a product. SINR_k = q_k^2 / (y_k q_k + eps_k); only
-    eps_k, the non-partners' power plus v^H Delta v (Delta = eta sum F_i over
-    them), needs v. Each group of UEs with one serving and partner set takes
-    one pass per chunk of blocks; one without non-partners forms no v.
+    = [sqrt(eta) ghat_i] over the partners. Each AP block is whitened once:
+    Lambda = C C^H and W = C^-1 G, so P = G^H Lambda^-1 G = W^H W, read as
+    W's real Gram (linalg.hermitian_gram). With S = I + P and y UE k's
+    column of S^-1, v = C^-H W y up to a scale the SINR ignores, so G^H v =
+    P y: the signal is q_k^2 and the other partners' power plus v^H Lambda v
+    is y_k q_k, where y_k = [S^-1]_kk and q_k = [P S^-1]_kk = 1 - y_k, formed
+    as a product. SINR_k = q_k^2 / (y_k q_k + eps_k); only eps_k, the
+    non-partners' power plus v^H Delta v (Delta = eta sum F_i over them),
+    needs the combiner, and it is read through u = W y without forming v:
+    eps_k = sum_i |u^H C^-1 sqrt(eta) ghat_i|^2 + u^H D u with D = C^-1 Delta
+    C^-H. Each group of UEs with one serving and partner set takes one pass
+    per chunk of blocks; one without non-partners forms no u.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -127,19 +132,20 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
         others = sorted(set(range(K)) - set(partners))
         # a group of every UE on every AP sums F itself, not a copy of it
         f_part = stats.F if part.size == K and idx.size == stats.L else stats.F[np.ix_(part, idx)]
-        lam = eta * f_part.sum(axis=0) + sigma2 * np.eye(m)
-        delta = eta * stats.F[np.ix_(others, idx)].sum(axis=0) if others else None
+        c_inv = tril_inv(np.linalg.cholesky(eta * f_part.sum(axis=0) + sigma2 * np.eye(m)))   # Lambda = C C^H
+        delta_w = (c_inv @ (eta * stats.F[np.ix_(others, idx)].sum(axis=0)) @ c_inv.conj().swapaxes(1, 2)
+                   if others else None)                    # D = C^-1 Delta C^-H
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
-        plan.append((slice(None) if idx.size == stats.L else idx, slice(None) if not others else part, others,
-                     np.linalg.inv(lam), delta, members, [partners.index(k) for k in members]))
+        plan.append((slice(None) if idx.size == stats.L else idx, part, others, np.sqrt(eta) * c_inv, delta_w,
+                     members, [partners.index(k) for k in members]))
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):
-        _add_chunk_log_sinr(sum_log, stats, plan, rng, min(_BLOCK_CHUNK, n_blocks - start), eta)
+        _add_chunk_log_sinr(sum_log, stats, plan, rng, min(_BLOCK_CHUNK, n_blocks - start))
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
 
 
-def _add_chunk_log_sinr(sum_log, stats, plan, rng, b, eta):
+def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
     """Draw b blocks and add each plan group's members' log2(1 + SINR) over them to sum_log.
 
     The chunk's estimates and products live in this frame only, so they are
@@ -147,19 +153,18 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b, eta):
     """
     K, m = stats.K, stats.m
     ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
-    for idx, part, others, lam_inv, delta, members, cols in plan:
-        gh = ghat[:, idx].reshape(b, -1, K)                # serving blocks stacked, (b, d, K)
-        g = np.sqrt(eta) * gh[..., part]                   # G, (b, d, p)
-        a = (lam_inv @ g.reshape(b, lam_inv.shape[0], m, -1)).reshape(g.shape)
-        p = g.conj().swapaxes(1, 2) @ a                    # P = G^H Lambda^-1 G, (b, p, p)
+    for idx, part, others, c_inv, delta_w, members, cols in plan:
+        w_all = (c_inv @ ghat[:, idx]).reshape(b, -1, K)    # sqrt(eta) C^-1 ghat on the serving APs, (b, d, K)
+        w = np.take(w_all, part, axis=-1) if others else w_all   # W = C^-1 G, (b, d, p)
+        p = hermitian_gram(w)                               # P = W^H W, (b, p, p)
         y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
         y_k, q_k = np.einsum("bnn->bn", y[:, cols]).real, np.einsum("bnp,bpn->bn", p[:, cols], y).real
         eps = 0.0
         if others:
-            v = a @ y                                      # members' combiners, (b, d, n)
-            vb = v.reshape(b, lam_inv.shape[0], m, -1)
-            eps = eta * np.sum(np.abs(v.conj().swapaxes(1, 2) @ gh[..., others]) ** 2, axis=2)
-            eps += np.sum(vb.conj() * (delta @ vb), axis=(1, 2)).real
+            u = w @ y                                       # C^H v for the members' combiners v, (b, d, n)
+            eps = np.sum(np.abs(u.conj().swapaxes(1, 2) @ np.take(w_all, others, axis=-1)) ** 2, axis=2)
+            ub = u.reshape(b, c_inv.shape[0], m, -1)
+            eps += np.sum(ub.conj() * (delta_w @ ub), axis=(1, 2)).real
         sum_log[members] += np.log2(1.0 + q_k**2 / (y_k * q_k + eps)).sum(axis=0)
 
 

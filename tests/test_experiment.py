@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -246,6 +247,25 @@ class TestSeKernel:
         assert exact.min() > np.log2(1e7)
         assert np.max(np.abs(fast - exact) / exact) <= 1e-9
         assert np.max(np.abs(reference - exact) / exact) <= 1e-9
+
+    def test_one_group_chunk_holds_few_estimate_sized_arrays(self):
+        # a whitened chunk keeps the estimates and W = C^-1 G; it forms no G copy, no
+        # Lambda^-1 G and no conjugate of G, so its array peak stays under 3.75 chunks of estimates
+        cfg = SimConfig(L=8, K=4, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
+        rng = np.random.default_rng(0)
+        beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, _ = _equivalence_drop(rng, cfg, beta)
+        assert assoc.serving_matrix.all()   # one UE group
+        stats = EffectiveStats(r, None, assoc.pilot_of, cfg)
+        blocks = cfris.experiment._BLOCK_CHUNK
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=blocks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * blocks * cfg.L * stats.m * cfg.K * 16
 
 
 class TestReportMath:

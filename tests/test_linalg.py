@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfris.exceptions import DimensionError, ModelError
-from cfris.linalg import TRIL_LEAF, hermitian_eig, psd_sqrt, sample_complex_gaussian, tril_inv
+from cfris.linalg import TRIL_LEAF, hermitian_eig, hermitian_gram, psd_sqrt, sample_complex_gaussian, tril_inv
 
 
 def random_hermitian(rng, n):
@@ -118,3 +118,29 @@ class TestTrilInv:
     def test_leaf_is_the_general_inverse(self):
         a = np.linalg.cholesky(np.diag([4.0, 1.0, 9.0]) + 0.5)
         assert np.array_equal(tril_inv(a), np.linalg.inv(a))
+
+
+class TestHermitianGram:
+    @staticmethod
+    def stack(shape, seed=7):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", [(5, 40, 6), (3, 1800, 10), (7, 1), (2, 4, 9, 3)])
+    def test_matches_complex_product(self, shape):
+        w = self.stack(shape)
+        err = np.abs(hermitian_gram(w) - w.conj().swapaxes(-1, -2) @ w).max(axis=(-2, -1))
+        assert np.all(err <= 4 * np.finfo(float).eps * np.linalg.norm(w, axis=(-2, -1)) ** 2)
+
+    def test_exactly_hermitian_with_real_non_negative_diagonal(self):
+        p = hermitian_gram(self.stack((6, 300, 8)))
+        assert np.array_equal(p, p.conj().swapaxes(-1, -2))
+        diag = np.diagonal(p, axis1=-2, axis2=-1)
+        assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
+
+    def test_non_contiguous_input(self):
+        # a column gather and a transposed view leave the last axis strided; both read as their copy
+        w = self.stack((4, 30, 9))
+        for view in (w[:, ::2, [0, 3, 4, 8]], w[:, 1::3, ::2], self.stack((4, 5, 30)).swapaxes(-1, -2)):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(hermitian_gram(view), hermitian_gram(view.copy()))

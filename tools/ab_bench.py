@@ -19,6 +19,11 @@ pairs the working tree wins and a verdict:
   metric's ``bound`` (a fraction of the revision's median);
 - ``unresolved``: neither.
 
+Before the pairs, each side also prints the tracemalloc peak of one drop
+(``_run_setup`` of drop 0 at the first seed), measured in a fresh process
+on that tree's ``src``: the process high-water mark ``peak_rss_mb`` need
+not move with the drop's array peak.
+
 Standard library only.
 """
 
@@ -58,6 +63,30 @@ def bench(tree, workload, seed, seconds):
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stdout}{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# runs in a fresh process on a tree: argv = tree, workload, seed; prints drop 0's traced array peak in bytes
+_DROP_PEAK = """
+import os, sys, tracemalloc
+sys.path[:0] = [os.path.join(sys.argv[1], "src"), os.path.join(sys.argv[1], "perfbench")]
+from cfris.experiment import _run_setup, front_channels
+from workloads import WORKLOADS
+workload = WORKLOADS[sys.argv[2]]
+cfg = workload.config(int(sys.argv[3]))
+fronts = front_channels(cfg)
+tracemalloc.start()
+_run_setup(cfg, list(workload.scenarios), "pmmse", fronts, 0)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def drop_peak_mib(tree, workload, seed):
+    """tracemalloc peak of drop 0 of ``workload`` at ``seed``, run on ``tree``'s source, in MiB."""
+    proc = subprocess.run([sys.executable, "-c", _DROP_PEAK, tree, workload, str(seed)],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"drop peak of {workload} failed in {tree}:\n{proc.stdout}{proc.stderr}")
+    return int(proc.stdout.strip().splitlines()[-1]) / 2**20
 
 
 def quartiles(values):
@@ -112,6 +141,10 @@ def main(argv=None):
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base_tree, filter="data")
         for workload in args.workload:
+            peaks = {side: drop_peak_mib(tree, workload, args.seeds[0])
+                     for side, tree in (("base", base_tree), ("new", ROOT))}
+            print(f"{workload} drop 0 tracemalloc peak (seed {args.seeds[0]}): "
+                  f"base {peaks['base']:.1f} MiB -> new {peaks['new']:.1f} MiB", flush=True)
             results = []
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]
