@@ -25,7 +25,7 @@ def _build_parser():
         help="scenario to simulate (repeatable; default: all four)",
     )
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--threads", type=int, default=1, help="parallel realizations")
+    run.add_argument("--threads", type=int, default=1, help="parallel worker processes")
     run.add_argument("--combiner", choices=("pmmse", "mmse"), default="pmmse")
     run.add_argument("--setups", type=int, help="override mc_setups")
     run.add_argument("--blocks", type=int, help="override mc_channel_realizations")

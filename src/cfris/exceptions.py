@@ -9,8 +9,11 @@ class ConfigError(CfrisError):
     """A configuration value violates an invariant. Carries the field name."""
 
     def __init__(self, field, message):
+        super().__init__(field, message)   # as args, so that a pickled copy is built the same way
         self.field = field
-        super().__init__(f"{field}: {message}")
+
+    def __str__(self):
+        return f"{self.field}: {self.args[1]}"
 
 
 class DimensionError(CfrisError):

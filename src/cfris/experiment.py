@@ -5,13 +5,12 @@ random phase-shifts, and conventional arrays with M or N antennas. The
 RIS scenarios and the N-antenna baseline share the identical correlation
 matrices per realization, so their comparison is paired. Every random
 stream is derived from (seed, purpose, realization, scenario) counters,
-which makes the output independent of thread scheduling.
+which makes the output independent of the worker count.
 """
 
 import csv
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,8 @@ import numpy as np
 from .association import assign_pilots_and_clusters
 from .config import parse_config_text
 from .estimation import EffectiveStats, effective_front
-from .exceptions import ConfigError, ModelError
-from .linalg import hermitian_gram, tril_inv
+from .exceptions import CfrisError, ConfigError, ModelError
+from .linalg import hermitian_gram, one_blas_thread, tril_inv
 from .network import (
     ChannelStats,
     active_array_positions,
@@ -68,6 +67,8 @@ class ExperimentSpec:
             raise ConfigError("combiner", f"unknown combiner {self.combiner!r}")
         if isinstance(self.threads, bool) or not isinstance(self.threads, numbers.Integral) or self.threads < 1:
             raise ConfigError("threads", f"must be an integer of at least 1, got {self.threads!r}")
+        if self.threads > 1 and not hasattr(os, "fork"):
+            raise ConfigError("threads", "more than one worker needs os.fork, which this platform lacks")
         return self
 
 
@@ -202,20 +203,39 @@ def run_experiment(spec):
     cfg = spec.cfg
     scenarios = list(spec.scenarios)
     fronts = front_channels(cfg) if any(_SCENARIO_TABLE[name][1] for name in scenarios) else None
+    with one_blas_thread():
+        se = _run_setups((cfg, scenarios, spec.combiner, fronts), cfg.mc_setups, min(spec.threads, cfg.mc_setups))
+    return SeReport(scenarios, dict(zip(scenarios, np.stack(se, axis=1))), cfg.as_dict())
 
-    def worker(setup_idx):
-        return _run_setup(cfg, scenarios, spec.combiner, fronts, setup_idx)
 
-    # map re-raises the first failing setup's error and cancels the pending ones
-    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-        se = np.stack(list(pool.map(worker, range(cfg.mc_setups))), axis=1)   # (n_scen, setups, K)
+def _run_setups(job, n, workers):
+    """_run_setup(*job, i) for i < n, in order: the caller runs setups 0, workers, 2 workers, ... and workers - 1
+    forked processes the rest. An error is the first failing setup's, as with one worker."""
+    if workers == 1:
+        return [_run_setup(*job, i) for i in range(n)]
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-    report = SeReport(
-        scenarios=scenarios,
-        se={name: se[j] for j, name in enumerate(scenarios)},
-        config=cfg.as_dict(),
-    )
-    return report
+    out, caller_error = [None] * n, None
+    pool = ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"))   # keeps the caller's module state
+    try:
+        futures = {i: pool.submit(_run_setup, *job, i) for i in range(n) if i % workers}
+        for i in range(0, n, workers):
+            try:
+                out[i] = _run_setup(*job, i)
+            except Exception as exc:   # only a child's earlier setup can have failed first
+                caller_error, n = exc, i
+                break
+        for i in filter(futures.__contains__, range(n)):
+            try:
+                out[i] = futures[i].result()
+            except BrokenExecutor as exc:
+                raise CfrisError(f"setup {i}: its worker process died ({exc})") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if caller_error is not None:
+        raise caller_error
+    return out
 
 
 def emit_report(report, out_dir):

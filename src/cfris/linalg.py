@@ -5,6 +5,9 @@ large-scale fading spans many orders of magnitude in linear units, so
 absolute thresholds would be meaningless.
 """
 
+import contextlib
+import os
+
 import numpy as np
 
 from .exceptions import DimensionError, ModelError
@@ -46,6 +49,30 @@ def hermitian_gram(w):
     out.real = g[..., 0::2, 0::2] + g[..., 1::2, 1::2]
     out.imag = g[..., 0::2, 1::2] - g[..., 1::2, 0::2]
     return out
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS that /proc/self/maps lists on one thread, then restore each one's
+    count; processes forked inside inherit it. Another BLAS is pinned through its environment variable."""
+    import ctypes
+
+    maps = "/proc/self/maps" if os.path.exists("/proc/self/maps") else os.devnull   # no /proc: none found
+    with open(maps, encoding="utf-8") as lines:
+        paths = {line.split()[-1] for line in lines if "openblas" in line.rsplit("/", 1)[-1]}
+    counts = []   # (setter, count before) of each library set to one thread
+    try:
+        for lib in map(ctypes.CDLL, paths):
+            for name in (f"{p}_{{}}_num_threads{s}" for p in ("scipy_openblas", "openblas") for s in ("64_", "")):
+                if hasattr(lib, name.format("set")):
+                    get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                    counts.append((put, get()))
+                    put(1)
+        yield
+    finally:
+        for put, count in counts:
+            put(count)
 
 
 def hermitian_eig(a):

@@ -1,6 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -13,7 +16,7 @@ from cfris.association import Association
 from cfris.cli import main as cli_main
 from cfris.config import SimConfig, load_config
 from cfris.estimation import EffectiveStats
-from cfris.exceptions import ConfigError, ModelError
+from cfris.exceptions import CfrisError, ConfigError, ModelError
 from cfris.experiment import (
     SCENARIOS,
     ExperimentSpec,
@@ -69,6 +72,13 @@ class TestSpec:
         for threads in (0, 1.5, True):   # a bool is an int, but not a thread count
             with pytest.raises(ConfigError, match="threads"):
                 ExperimentSpec(cfg=tiny_cfg(), threads=threads).validate()
+
+    def test_more_than_one_worker_needs_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        ExperimentSpec(cfg=tiny_cfg(), threads=1).validate()
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(cfg=tiny_cfg(), threads=2).validate()
+        assert err.value.field == "threads"
 
 
 class TestFrontChannels:
@@ -163,6 +173,98 @@ class TestRunExperiment:
         m = run_experiment(ExperimentSpec(cfg=cfg, combiner="mmse"))
         for name in SCENARIOS:
             assert m.se[name].mean() >= p.se[name].mean() - 1e-9
+
+
+_FAKE = {}   # setup index -> "die" or (exception class, args); "slow" -> (seconds, marker directory)
+
+
+def _fake_setup(cfg, scenarios, combiner, fronts, setup_idx):
+    """Stands in for _run_setup, in forked workers too (module level, so it pickles by name).
+    Its row is (setup index, process id, 0, ...)."""
+    if "slow" in _FAKE and setup_idx:
+        seconds, markers = _FAKE["slow"]
+        time.sleep(seconds)
+        open(os.path.join(markers, str(setup_idx)), "w").close()
+    action = _FAKE.get(setup_idx)
+    if action == "die":
+        os._exit(3)
+    if action:
+        cls, args = action
+        raise cls(*args)
+    row = np.zeros(cfg.K)
+    row[:2] = setup_idx, os.getpid()
+    return np.tile(row, (len(scenarios), 1))
+
+
+class TestWorkers:
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        monkeypatch.setattr(cfris.experiment, "_run_setup", _fake_setup)
+        yield _FAKE
+        _FAKE.clear()
+
+    @staticmethod
+    def run(threads, setups=5):
+        return run_experiment(ExperimentSpec(cfg=tiny_cfg(mc_setups=setups), scenarios=("no_ris_small",),
+                                             threads=threads)).se["no_ris_small"]
+
+    @staticmethod
+    def assert_nothing_left(threads_before):
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_caller_is_worker_zero_and_results_come_in_setup_order(self, fake, threads):
+        before = threading.active_count()
+        se = self.run(threads)
+        self.assert_nothing_left(before)
+        assert np.array_equal(se[:, 0], np.arange(5))
+        in_caller = np.flatnonzero(se[:, 1] == os.getpid())
+        assert np.array_equal(in_caller, np.arange(0, 5, min(threads, 5)))
+
+    @pytest.mark.parametrize("failing", [
+        {1: (ModelError, ("diverged in setup 1",))},
+        {0: (ConfigError, ("L", "rejected in setup 0"))},
+        {2: (ModelError, ("setup 2",)), 3: (ConfigError, ("K", "setup 3"))},
+        {3: (ValueError, ("setup 3",)), 4: (ModelError, ("setup 4",))},
+    ], ids=["in_a_child", "in_the_caller", "2_and_3", "3_and_4"])
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_failure_is_the_first_failing_setups_as_with_one_worker(self, fake, failing, threads):
+        # at threads=2 the caller runs setups 0, 2, 4; at threads=3 setups 0 and 3
+        fake.update(failing)
+        with pytest.raises(Exception) as serial:
+            self.run(1)
+        before = threading.active_count()
+        with pytest.raises(Exception) as forked:
+            self.run(threads)
+        self.assert_nothing_left(before)
+        assert type(forked.value) is type(serial.value) and str(forked.value) == str(serial.value)
+        assert str(serial.value).endswith(f"setup {min(failing)}")
+
+    def test_pending_setups_are_cancelled_when_the_caller_fails(self, fake, tmp_path):
+        fake.update({0: (ModelError, ("setup 0",)), "slow": (0.2, str(tmp_path))})
+        before = threading.active_count()
+        with pytest.raises(ModelError, match="setup 0"):
+            self.run(2, setups=10)
+        self.assert_nothing_left(before)
+        # the child takes setups 1, 3, 5, 7, 9, and at most the three already queued run
+        assert not {"7", "9"} & set(os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_worker_that_dies_is_an_error_naming_its_setup(self, fake, threads):
+        fake[1] = "die"
+        before = threading.active_count()
+        with pytest.raises(CfrisError, match="setup 1: its worker process died"):
+            self.run(threads)
+        self.assert_nothing_left(before)
+
+    def test_cli_reports_a_dead_worker_as_an_error(self, fake, tmp_path, capsys):
+        fake[1] = "die"
+        code = cli_main(["run", "--setups", "3", "--blocks", "2", "--scenario", "no_ris_small",
+                         "--out", str(tmp_path / "out"), "--threads", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: setup 1: its worker process died")
+        assert "Traceback" not in err
 
 
 class TestSeKernel:
@@ -417,6 +519,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[PASS]") == len(ALL_CHECKS)
+
+    def test_import_loads_no_worker_machinery(self):
+        # run_experiment imports the process pool when it forks, so set-up does not pay for it;
+        # numpy itself loads ctypes
+        code = ("import sys, numpy; before = set(sys.modules); import cfris, cfris.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'ctypes') "
+                "if m in set(sys.modules) - before))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip() == "[]"
 
     def test_runtime_imports_no_scipy(self):
         # scipy is a test dependency only: the package, its CLI and the oracles run without it

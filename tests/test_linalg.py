@@ -1,8 +1,14 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+import cfris.experiment
+from cfris.config import SimConfig
 from cfris.exceptions import DimensionError, ModelError
-from cfris.linalg import TRIL_LEAF, hermitian_eig, hermitian_gram, psd_sqrt, sample_complex_gaussian, tril_inv
+from cfris.experiment import ExperimentSpec, run_experiment
+from cfris.linalg import (TRIL_LEAF, hermitian_eig, hermitian_gram, one_blas_thread, psd_sqrt,
+                          sample_complex_gaussian, tril_inv)
 
 
 def random_hermitian(rng, n):
@@ -144,3 +150,58 @@ class TestHermitianGram:
         for view in (w[:, ::2, [0, 3, 4, 8]], w[:, 1::3, ::2], self.stack((4, 5, 30)).swapaxes(-1, -2)):
             assert not view.flags.c_contiguous
             assert np.array_equal(hermitian_gram(view), hermitian_gram(view.copy()))
+
+
+def openblas_thread_counts():
+    """(get, set) of each loaded OpenBLAS's thread count, found apart from cfris.linalg."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+    found = []
+    for lib in map(ctypes.CDLL, paths):
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get, put = (f"{prefix}_{op}_num_threads{suffix}" for op in ("get", "set"))
+            if hasattr(lib, get) and hasattr(lib, put):
+                found.append((getattr(lib, get), getattr(lib, put)))
+                break
+    return found
+
+
+def _setup_reading_blas_threads(cfg, scenarios, combiner, fronts, setup_idx):
+    # stands in for _run_setup, in forked workers too; module level, so it pickles by name
+    return np.full((len(scenarios), cfg.K), max(get() for get, _ in openblas_thread_counts()))
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def counts(self):
+        """Every loaded OpenBLAS set to two threads for the test, and to its own count after."""
+        found = openblas_thread_counts()
+        if not found:
+            pytest.skip("no loaded OpenBLAS with a thread-count setter")
+        before = [get() for get, _ in found]
+        for _, put in found:
+            put(2)
+        yield found
+        for (_, put), count in zip(found, before):
+            put(count)
+
+    def test_one_thread_inside_and_the_count_restored_after(self, counts):
+        with one_blas_thread():
+            assert [get() for get, _ in counts] == [1] * len(counts)
+        assert [get() for get, _ in counts] == [2] * len(counts)
+
+    def test_count_restored_when_the_body_raises(self, counts):
+        with pytest.raises(KeyError), one_blas_thread():
+            raise KeyError("body")
+        assert [get() for get, _ in counts] == [2] * len(counts)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_every_worker_runs_one_thread_and_the_caller_keeps_its_count(self, counts, monkeypatch, threads):
+        monkeypatch.setattr(cfris.experiment, "_run_setup", _setup_reading_blas_threads)
+        cfg = SimConfig(L=4, K=3, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2, mc_setups=4)
+        report = run_experiment(ExperimentSpec(cfg=cfg, threads=threads))
+        assert all(np.all(report.se[name] == 1) for name in report.scenarios)
+        assert [get() for get, _ in counts] == [2] * len(counts)
