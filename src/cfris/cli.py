@@ -5,7 +5,7 @@ import sys
 
 from .config import load_config
 from .exceptions import CfrisError
-from .experiment import SCENARIOS, ExperimentSpec, emit_report, run_experiment
+from .experiment import COMBINERS, SCENARIOS, ExperimentSpec, emit_report, run_experiment
 
 
 def _build_parser():
@@ -25,8 +25,8 @@ def _build_parser():
         help="scenario to simulate (repeatable; default: all four)",
     )
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--threads", type=int, default=1, help="parallel worker processes")
-    run.add_argument("--combiner", choices=("pmmse", "mmse"), default="pmmse")
+    run.add_argument("--threads", type=int, default=1, help="maximum number of parallel worker processes")
+    run.add_argument("--combiner", choices=COMBINERS, default="pmmse")
     run.add_argument("--setups", type=int, help="override mc_setups")
     run.add_argument("--blocks", type=int, help="override mc_channel_realizations")
 

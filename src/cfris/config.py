@@ -20,7 +20,7 @@ _POSITIVE_FIELDS = ("carrier_frequency_hz", "pilot_power_mw", "data_power_mw", "
                     "box_depth_m", "shadowing_decorrelation_m", "min_distance_m")
 _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db", "ap_height_m", "seed")
 _AT_LEAST_ONE_FIELDS = ("K", "L", "M", "tau_p", "mc_setups", "mc_channel_realizations")
-_CHOICES = {"array_geometry": ("linear", "planar"), "correlation_model": ("local-scattering", "white")}
+_CHOICES = {"array_geometry": ("linear", "planar")}
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
 
 
@@ -46,7 +46,6 @@ class SimConfig:
     box_depth_m: float = _DEFAULT_BOX_DEPTH_M
     rician_los_fraction: float = 0.9
     angular_spread_deg: float = 15.0
-    correlation_model: str = "local-scattering"  # or "white"
     shadowing_std_db: float = 4.0
     shadowing_decorrelation_m: float = 9.0
     ap_height_m: float = 10.0
@@ -114,9 +113,15 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}
 
 
+def _field_type(name):
+    if name not in _FIELD_TYPES:
+        raise ConfigError(name, "unknown configuration key")
+    return _FIELD_TYPES[name]
+
+
 def _parse_value(name, raw):
     try:
-        return _FIELD_TYPES[name](raw)  # int, float or str
+        return _field_type(name)(raw)  # int, float or str
     except ValueError as exc:
         raise ConfigError(name, f"cannot parse {raw!r}") from exc
 
@@ -134,8 +139,6 @@ def parse_config_text(text):
         if "=" not in body:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {body!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(key, "unknown configuration key")
         values[key] = _parse_value(key, raw)
     return values
 
@@ -152,7 +155,6 @@ def load_config(path=None, overrides=None):
             values.update(parse_config_text(handle.read()))
     if overrides:
         for key, val in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError(key, "unknown configuration key")
+            _field_type(key)   # rejects an unknown key
             values[key] = val
     return SimConfig(**values).validate()

@@ -39,6 +39,7 @@ _SCENARIO_TABLE = {
     "no_ris_large": (ris_grid_positions, None),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
+COMBINERS = ("pmmse", "mmse")
 
 # stream tags for counter-based seeding
 _TAG_NETWORK = 1
@@ -63,7 +64,7 @@ class ExperimentSpec:
                 raise ConfigError("scenarios", f"unknown scenario {name!r}")
             if self.scenarios.count(name) > 1:
                 raise ConfigError("scenarios", f"scenario {name!r} listed twice")
-        if self.combiner not in ("pmmse", "mmse"):
+        if self.combiner not in COMBINERS:
             raise ConfigError("combiner", f"unknown combiner {self.combiner!r}")
         if isinstance(self.threads, bool) or not isinstance(self.threads, numbers.Integral) or self.threads < 1:
             raise ConfigError("threads", f"must be an integer of at least 1, got {self.threads!r}")
@@ -117,18 +118,19 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     non-partners' power plus v^H Delta v (Delta = eta sum F_i over them),
     needs the combiner, and it is read through u = W y without forming v:
     eps_k = sum_i |u^H C^-1 sqrt(eta) ghat_i|^2 + u^H D u with D = C^-1 Delta
-    C^-H. Each group of UEs with one serving and partner set takes one pass
-    per chunk of blocks; one without non-partners forms no u.
+    C^-H. Each group of UEs with one serving set takes one pass per chunk of
+    blocks; one without non-partners forms no u.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
     K, m, eta, sigma2 = stats.K, stats.m, cfg.data_power_w, cfg.noise_power_w
     groups = {}
     for k, serving in enumerate(assoc.serving_sets):
-        partners = assoc.pmmse_partners(k) if combiner == "pmmse" else range(K)
-        groups.setdefault((tuple(serving), tuple(partners)), []).append(k)
+        groups.setdefault(tuple(serving), []).append(k)
     plan = []
-    for (serving, partners), members in groups.items():
+    for serving, members in groups.items():
+        # P-MMSE partners are the UEs on a serving AP, so one serving set has one partner set
+        partners = assoc.pmmse_partners(members[0]) if combiner == "pmmse" else range(K)
         idx, part = np.array(serving), np.array(partners)
         others = sorted(set(range(K)) - set(partners))
         # a group of every UE on every AP sums F itself, not a copy of it
@@ -203,8 +205,11 @@ def run_experiment(spec):
     cfg = spec.cfg
     scenarios = list(spec.scenarios)
     fronts = front_channels(cfg) if any(_SCENARIO_TABLE[name][1] for name in scenarios) else None
+    # more workers than usable CPUs would only queue, each holding a copy-on-write heap
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(spec.threads, cfg.mc_setups, cpus)
     with one_blas_thread():
-        se = _run_setups((cfg, scenarios, spec.combiner, fronts), cfg.mc_setups, min(spec.threads, cfg.mc_setups))
+        se = _run_setups((cfg, scenarios, spec.combiner, fronts), cfg.mc_setups, workers)
     return SeReport(scenarios, dict(zip(scenarios, np.stack(se, axis=1))), cfg.as_dict())
 
 
@@ -284,6 +289,9 @@ def load_report(out_dir):
 
     The manifest is a config file, so ``config`` holds typed values; the
     scenarios are those of ``se_samples.csv`` in order of first appearance.
+    Unless each scenario's (realization, ue) cells cover its grid exactly
+    once, CfrisError names the scenario and the first missing or repeated
+    cell.
     """
     with open(os.path.join(out_dir, "manifest.txt"), "r", encoding="utf-8") as handle:
         config = parse_config_text(handle.read())
@@ -300,6 +308,15 @@ def load_report(out_dir):
     se = {}
     for name, entries in rows.items():
         setup, ue, value = zip(*entries)
-        se[name] = np.empty((1 + max(setup), 1 + max(ue)))
+        if min(setup) < 0 or min(ue) < 0:
+            raise CfrisError(f"{data_path}: scenario {name} has a negative realization or ue index")
+        count = np.zeros((1 + max(setup), 1 + max(ue)), dtype=int)
+        np.add.at(count, (setup, ue), 1)
+        bad = np.argwhere(count != 1)
+        if bad.size:
+            cell = tuple(bad[0])
+            raise CfrisError(f"{data_path}: scenario {name}: realization {cell[0]}, ue {cell[1]} is "
+                             f"{'missing' if count[cell] == 0 else 'repeated'}")
+        se[name] = np.empty(count.shape)
         se[name][setup, ue] = value
     return SeReport(scenarios=list(rows), se=se, config=config)

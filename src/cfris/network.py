@@ -59,7 +59,8 @@ def generate_realization(cfg, rng):
     """Drop APs and UEs uniformly over the square and draw large-scale fading.
 
     Shadowing is log-normal with exponential spatial correlation between
-    UEs, independent across APs. 2D distances below the clamp are raised to
+    UEs, independent across APs; at shadowing_std_db = 0 its covariance is
+    zero and so is the draw. 2D distances below the clamp are raised to
     cfg.min_distance_m before the AP height enters the 3D distance.
     """
     ap_positions = rng.uniform(0.0, cfg.area_side_m, size=(cfg.L, 2))
@@ -67,11 +68,7 @@ def generate_realization(cfg, rng):
     d2d = np.linalg.norm(ue_positions[:, None, :] - ap_positions[None, :, :], axis=-1)
     d2d = np.maximum(d2d, cfg.min_distance_m)
     d3d = np.hypot(d2d, cfg.ap_height_m)
-    if cfg.shadowing_std_db > 0:
-        cov = _shadowing_covariance(ue_positions, cfg)
-        shadowing_db = sample_real_gaussian(cov, rng, size=cfg.L).T  # (K, L)
-    else:
-        shadowing_db = np.zeros((cfg.K, cfg.L))
+    shadowing_db = sample_real_gaussian(_shadowing_covariance(ue_positions, cfg), rng, size=cfg.L).T  # (K, L)
     beta = pathloss_beta(d3d) * 10.0 ** (shadowing_db / 10.0)
     return NetworkRealization(ap_positions, ue_positions, beta, shadowing_db)
 
@@ -117,11 +114,9 @@ def build_spatial_correlation(ue_pos, ap_pos, beta, cfg, element_positions):
     Gaussian local scattering over azimuth and elevation around the nominal
     UE direction, integrated with Gauss-Hermite quadrature. At an angular
     spread of zero every node lies on the nominal direction, so the sum is
-    the rank-one steering outer product; the "white" model returns beta * I.
+    the rank-one steering outer product.
     """
     n = element_positions.shape[0]
-    if cfg.correlation_model == "white":
-        return beta * np.eye(n, dtype=complex)
     dx = ue_pos[0] - ap_pos[0]
     dy = ue_pos[1] - ap_pos[1]
     d2d = max(np.hypot(dx, dy), cfg.min_distance_m)
@@ -173,10 +168,6 @@ def spatial_correlation_matrices(real, cfg, element_positions):
     """
     n = element_positions.shape[0]
     K, L = real.beta.shape
-    if cfg.correlation_model == "white":
-        R = np.zeros((K, L, n, n), dtype=complex)
-        R[..., np.arange(n), np.arange(n)] = real.beta[..., None]
-        return R
     row, col = _lattice_indices(element_positions, cfg)
     rows, cols = row.max() + 1, col.max() + 1
     # flat index of each pair's offset in the (2 cols - 1, 2 rows - 1) table
@@ -231,15 +222,16 @@ def build_ap_ris_channels(cfg, rngs):
     direction, where the NLOS draw (i.i.d. complex Gaussian, from that
     front's rng) is projected onto the orthogonal complement of the LOS
     direction, so the column norm is exactly one and the LOS power fraction
-    is exactly alpha. The LOS directions depend on cfg only and are built
-    once. With M = 1 there is no orthogonal complement and every column is
-    pure LOS.
+    is exactly alpha (at alpha = 1 the columns are the LOS directions bit
+    for bit). The LOS directions depend on cfg only and are built once.
+    With M = 1 there is no orthogonal complement and every column is pure
+    LOS.
     """
     antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
     los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
     alpha = cfg.rician_los_fraction
     u_los = los / np.linalg.norm(los, axis=0, keepdims=True)
-    if cfg.M == 1 or alpha == 1.0:
+    if cfg.M == 1:
         return np.repeat(u_los[None], len(rngs), axis=0)
     g = np.stack([rng.standard_normal(los.shape) + 1j * rng.standard_normal(los.shape) for rng in rngs])
     g /= np.sqrt(2.0)

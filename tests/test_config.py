@@ -47,7 +47,6 @@ class TestValidation:
             ("box_depth_m", 0.0),
             ("rician_los_fraction", 1.5),
             ("array_geometry", "circular"),
-            ("correlation_model", "exponential"),
             ("mc_setups", 0),
             ("mc_channel_realizations", 0),
             ("area_side_m", -5.0),
@@ -158,6 +157,13 @@ class TestLoadConfig:
     def test_unknown_override(self):
         with pytest.raises(ConfigError):
             load_config(None, overrides={"nope": 1})
+
+    def test_removed_correlation_model_key_rejected(self, tmp_path):
+        # manifests written before local scattering became the only model carry this key
+        path = tmp_path / "manifest.txt"
+        path.write_text("L = 12\ncorrelation_model = local-scattering\n")
+        with pytest.raises(ConfigError, match="correlation_model: unknown configuration key"):
+            load_config(str(path))
 
     def test_round_trip_dict(self):
         cfg = SimConfig(L=3, K=2, tau_p=2, N=4, ris_rows=2, ris_cols=2, M=2)

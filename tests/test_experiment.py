@@ -117,7 +117,9 @@ class TestRunExperiment:
         )
         assert list(report.se) == ["no_ris_small"]
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # three usable CPUs, so that threads=3 forks two children on a smaller machine too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
         cfg = tiny_cfg(mc_setups=3)
         serial = run_experiment(ExperimentSpec(cfg=cfg, threads=1))
         threaded = run_experiment(ExperimentSpec(cfg=cfg, threads=3))
@@ -200,6 +202,8 @@ class TestWorkers:
     @pytest.fixture
     def fake(self, monkeypatch):
         monkeypatch.setattr(cfris.experiment, "_run_setup", _fake_setup)
+        # eight usable CPUs, so that threads 3 and 8 stripe as written on a smaller machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         yield _FAKE
         _FAKE.clear()
 
@@ -221,6 +225,22 @@ class TestWorkers:
         assert np.array_equal(se[:, 0], np.arange(5))
         in_caller = np.flatnonzero(se[:, 1] == os.getpid())
         assert np.array_equal(in_caller, np.arange(0, 5, min(threads, 5)))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+    def test_workers_are_capped_at_the_usable_cpus(self, fake, monkeypatch, affinity, cpus):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        before = threading.active_count()
+        se = self.run(8)
+        self.assert_nothing_left(before)
+        assert np.array_equal(se[:, 0], np.arange(5))
+        # one CPU: the caller runs every setup and nothing is forked; two: the caller and one child
+        assert len(set(se[:, 1])) == cpus
+        assert np.array_equal(np.flatnonzero(se[:, 1] == os.getpid()), np.arange(0, 5, cpus))
 
     @pytest.mark.parametrize("failing", [
         {1: (ModelError, ("diverged in setup 1",))},
@@ -419,6 +439,22 @@ class TestReportIo:
         emit_report(report, str(tmp_path / "out"))
         assert load_config(str(tmp_path / "out" / "manifest.txt")) == cfg
         assert load_report(str(tmp_path / "out")).config == cfg.as_dict()
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda rows: rows[:5] + rows[6:], "realization 1, ue 1 is missing"),
+        (lambda rows: rows + rows[5:6], "realization 1, ue 1 is repeated"),
+        (lambda rows: rows[:5] + [rows[5].replace(",1,1,", ",-1,1,")] + rows[6:], "negative realization"),
+    ], ids=["row_removed", "row_repeated", "negative_index"])
+    def test_samples_must_cover_the_grid_once(self, tmp_path, edit, problem):
+        from cfris.experiment import SeReport
+
+        se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
+        emit_report(SeReport(["no_ris_small"], se, tiny_cfg().as_dict()), str(tmp_path))
+        path = tmp_path / "se_samples.csv"
+        rows = path.read_text().splitlines(keepends=True)   # header, then realization 0 ue 0..2, 1 0..2
+        path.write_text("".join(edit(rows)))
+        with pytest.raises(CfrisError, match=f"scenario no_ris_small.*{problem}"):
+            load_report(str(tmp_path))
 
     def test_empty_scenarios_manifest_only(self, tmp_path):
         from cfris.experiment import SeReport

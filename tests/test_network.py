@@ -140,13 +140,6 @@ class TestGeometry:
 
 
 class TestSpatialCorrelation:
-    def test_white_model(self):
-        cfg = small_cfg(correlation_model="white")
-        r = build_spatial_correlation(
-            np.array([100.0, 50.0]), np.array([0.0, 0.0]), 2.5, cfg, ris_grid_positions(cfg)
-        )
-        assert np.array_equal(r, 2.5 * np.eye(4))
-
     def test_zero_spread_rank_one(self):
         cfg = small_cfg(angular_spread_deg=0.0)
         r = build_spatial_correlation(
@@ -231,7 +224,6 @@ class TestSpatialCorrelation:
             dict(N=36, ris_rows=4, ris_cols=9),
             dict(N=5, ris_rows=1, ris_cols=5, M=2),
             dict(N=4, ris_rows=2, ris_cols=2, M=2),
-            dict(correlation_model="white"),
             dict(angular_spread_deg=0.0),
             dict(ap_height_m=0.0),
         ],
