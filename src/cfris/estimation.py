@@ -8,6 +8,7 @@ no-RIS receiver is the special case E_l = I, passed as front None.
 import numpy as np
 
 from .linalg import psd_sqrt, tril_inv
+from .network import LatticeCorrelation
 
 
 def effective_front(H_l, psi_l):
@@ -68,6 +69,10 @@ class EffectiveStats:
     F_kl = (Q_kl L^-H)(sigma^2 L^-1) forms no sum and no product with it; and
     since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
     slices that copy nothing.
+
+    R is a (K, L, n, n) array or a network.LatticeCorrelation. Without a
+    front Q is R, gathered; with fronts a lattice stack forms E R E^H off its
+    per-AP offset basis Phi and is never gathered.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -81,6 +86,8 @@ class EffectiveStats:
 
         if fronts is None:
             Q = np.asarray(R, dtype=complex)
+        elif isinstance(R, LatticeCorrelation):
+            Q = R.effective_covariances(fronts)
         else:
             fh = fronts.conj().swapaxes(-1, -2)
             Q = (fronts[None] @ R) @ fh[None]

@@ -291,7 +291,8 @@ def load_report(out_dir):
     scenarios are those of ``se_samples.csv`` in order of first appearance.
     Unless each scenario's (realization, ue) cells cover its grid exactly
     once, CfrisError names the scenario and the first missing or repeated
-    cell.
+    cell; a row with a missing or unparsable field raises CfrisError naming
+    its line and scenario.
     """
     with open(os.path.join(out_dir, "manifest.txt"), "r", encoding="utf-8") as handle:
         config = parse_config_text(handle.read())
@@ -301,10 +302,14 @@ def load_report(out_dir):
 
     rows = {}
     with open(data_path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            rows.setdefault(row["scenario"], []).append(
-                (int(row["realization"]), int(row["ue"]), float(row["se"]))
-            )
+        reader = csv.DictReader(handle)
+        for row in reader:
+            try:   # a missing column raises KeyError, a short row reads None
+                name, entry = row["scenario"], (int(row["realization"]), int(row["ue"]), float(row["se"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CfrisError(f"{data_path}: row {reader.line_num}, scenario {row.get('scenario')}: "
+                                 f"malformed sample ({exc!r})") from exc
+            rows.setdefault(name, []).append(entry)
     se = {}
     for name, entries in rows.items():
         setup, ue, value = zip(*entries)

@@ -9,8 +9,9 @@ evaluated on the element grid.
 Both element sets (the RIS grid and the active array) are uniform y-z
 lattices, so R_kl[i, j] depends only on the integer offset of element i
 from element j: ``spatial_correlation_matrices`` builds one table over the
-offsets per (UE, AP) pair, batched over APs, and gathers every R_kl from
-it. ``build_spatial_correlation`` is the per-pair reference.
+offsets per (UE, AP) pair, batched over APs, and keeps the tables as a
+``LatticeCorrelation``: only the no-RIS banks gather the whole stack.
+``build_spatial_correlation`` is the per-pair reference.
 """
 
 from dataclasses import dataclass
@@ -41,8 +42,56 @@ class NetworkRealization:
 class ChannelStats:
     """Long-term statistics: correlation matrices and fixed front channels."""
 
-    R: np.ndarray          # (K, L, n, n) Hermitian PSD, trace = n * beta
+    R: object              # (K, L, n, n) Hermitian PSD, trace = n * beta: an array or a LatticeCorrelation
     H: np.ndarray | None   # (L, M, N) front matrices; None for no-RIS setups
+
+
+class LatticeCorrelation:
+    """A (K, L, n, n) correlation stack on one element lattice, kept as offset tables.
+
+    ``tables`` (K, L, 2 cols - 1, 2 rows - 1) holds beta_kl T_kl over the offsets and ``flat`` (n, n) the
+    flat offset index of each element pair: R_kl[i, j] = tables[k, l].flat[flat[i, j]]. An index over
+    (K, L), such as R[k, l], and np.asarray gather the matrices.
+    """
+
+    def __init__(self, tables, flat):
+        self.tables, self.flat = tables, flat
+        self.shape = tables.shape[:2] + flat.shape
+
+    def __getitem__(self, key):
+        return np.take(self.tables.reshape(*self.shape[:2], -1)[key], self.flat, axis=-1)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a lattice correlation stack cannot be viewed without a copy")
+        return self[:, :].astype(dtype or complex, copy=False)
+
+    def served_sums(self, serving_matrix):
+        """B_l, the sum of AP l's served UEs' R_kl, for every AP; (L, n, n). The tables are added in UE
+        order and then gathered, so B_l is the sum of the gathered matrices bit for bit."""
+        tables = self.tables.reshape(*self.shape[:2], -1)
+        sums = np.zeros(tables.shape[1:], dtype=complex)
+        for k, on in enumerate(serving_matrix.T):
+            sums[on] += tables[k, on]
+        return np.take(sums, self.flat, axis=-1)
+
+    def effective_covariances(self, fronts):
+        """Q_kl = E_l R_kl E_l^H = sum_o t_kl[o] Phi_l[o] for fronts E (L, m, n); C-contiguous (K, L, m, m).
+
+        Phi_l[o] = sum_{i - j = o} e_i e_j^H over E_l's columns is formed pair by pair for the half of
+        the offsets from 0 up; offset -o has flat index n_off - 1 - o and Phi[-o] = Phi[o]^H. Q is then
+        one (L, K, n_off) @ (L, n_off, m^2) product.
+        """
+        K, L, m = *self.shape[:2], fronts.shape[1]
+        tables = self.tables.reshape(K, L, -1)
+        n_off = tables.shape[-1]
+        phi = np.empty((L, n_off, m, m), dtype=complex)
+        for o in range(n_off // 2, n_off):
+            i, j = np.nonzero(self.flat == o)
+            phi[:, o] = fronts[..., i] @ fronts[..., j].conj().swapaxes(-1, -2)
+            phi[:, n_off - 1 - o] = phi[:, o].conj().swapaxes(-1, -2)
+        q = tables.transpose(1, 0, 2) @ phi.reshape(L, n_off, m * m)      # (L, K, m^2)
+        return np.ascontiguousarray(q.transpose(1, 0, 2)).reshape(K, L, m, m)
 
 
 def pathloss_beta(distance_m):
@@ -155,7 +204,7 @@ def _lattice_indices(element_positions, cfg):
 
 
 def spatial_correlation_matrices(real, cfg, element_positions):
-    """Stack R_kl for all (UE, AP) pairs; shape (K, L, n, n).
+    """Stack R_kl for all (UE, AP) pairs as a (K, L, n, n) LatticeCorrelation.
 
     Same model as ``build_spatial_correlation``. With alpha = 2 pi d / lambda
     for lattice pitch d, the phase difference between two elements is
@@ -163,10 +212,9 @@ def spatial_correlation_matrices(real, cfg, element_positions):
     on the elevation node only. Per UE, for all APs at once, u = exp(j alpha
     ky) and v = exp(j alpha kz) give every offset as an integer power:
     T[dc, dr] = sum_e w_e v_e^dr sum_a w_a u_ae^dc for dc >= 0, and
-    T[-dc, -dr] = conj T[dc, dr]. Each R_kl is beta_kl * T gathered at the
-    element pairs' offsets.
+    T[-dc, -dr] = conj T[dc, dr]. The stack keeps beta_kl * T, which R_kl
+    gathers at the element pairs' offsets.
     """
-    n = element_positions.shape[0]
     K, L = real.beta.shape
     row, col = _lattice_indices(element_positions, cfg)
     rows, cols = row.max() + 1, col.max() + 1
@@ -177,7 +225,7 @@ def spatial_correlation_matrices(real, cfg, element_positions):
     delta = real.ue_positions[:, None, :] - real.ap_positions[None, :, :]     # (K, L, 2)
     azimuth = np.arctan2(delta[..., 1], delta[..., 0])
     elevation = np.arctan2(-cfg.ap_height_m, np.maximum(np.hypot(delta[..., 0], delta[..., 1]), cfg.min_distance_m))
-    R = np.empty((K, L, n, n), dtype=complex)
+    tables = np.empty((K, L, 2 * cols - 1, 2 * rows - 1), dtype=complex)
     table = np.empty((L, 2 * cols - 1, 2 * rows - 1), dtype=complex)
     for k in range(K):
         el = elevation[k, :, None] + offsets                                   # (L, q) elevation nodes
@@ -202,9 +250,8 @@ def spatial_correlation_matrices(real, cfg, element_positions):
         v_powers[..., :rows - 1] = v_powers[..., :rows - 1:-1].conj()         # dr < 0 from dr > 0
         table[:, cols - 1:] = col_sums @ v_powers                              # dc >= 0
         table[:, :cols - 1] = table[:, :cols - 1:-1, ::-1].conj()              # dc < 0 from dc > 0
-        # flat lies in range by construction; "clip" skips the copy that "raise" buffers out= through
-        np.take((real.beta[k, :, None, None] * table).reshape(L, -1), flat, axis=1, out=R[k], mode="clip")
-    return R
+        np.multiply(real.beta[k, :, None, None], table, out=tables[k])
+    return LatticeCorrelation(tables, flat)
 
 
 def los_matrix(antenna_positions, element_positions, wavelength):

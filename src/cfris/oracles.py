@@ -14,11 +14,11 @@ import numpy as np
 
 from .association import Association, assign_pilots_and_clusters
 from .config import SimConfig
-from .estimation import EffectiveStats, effective_covariance, error_covariance, mmse_estimator
+from .estimation import EffectiveStats, effective_covariance, effective_front, error_covariance, mmse_estimator
 from .experiment import block_batched_se
 from .linalg import sample_complex_gaussian
-from .network import (NetworkRealization, active_array_positions, build_spatial_correlation, generate_realization,
-                      ris_grid_positions, spatial_correlation_matrices)
+from .network import (NetworkRealization, active_array_positions, build_ap_ris_channels, build_spatial_correlation,
+                      generate_realization, ris_grid_positions, spatial_correlation_matrices)
 from .receiver import _restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner, spectral_efficiency
 from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
 
@@ -330,6 +330,27 @@ def check_correlation_build_equivalence(rng):
     return "correlation build reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
 
 
+def lattice_covariance_error(real, cfg, rng):
+    """Largest relative deviation of the lattice stack's E R E^H, on fronts and random phases drawn
+    from rng, from effective_covariance of the per-pair correlation build."""
+    elements, fronts = ris_grid_positions(cfg), build_ap_ris_channels(cfg, [rng] * cfg.L)
+    E = effective_front(fronts, np.exp(2j * np.pi * rng.uniform(size=(cfg.L, cfg.N))))
+    Q = spatial_correlation_matrices(real, cfg, elements).effective_covariances(E)
+    worst = 0.0
+    for k, l in np.ndindex(real.beta.shape):
+        reference = effective_covariance(build_spatial_correlation(
+            real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, elements), E[l])
+        worst = max(worst, np.linalg.norm(Q[k, l] - reference) / np.linalg.norm(reference))
+    return worst
+
+
+def check_lattice_effective_covariance(rng):
+    """The lattice stack's E R E^H off its per-AP offset basis equals the per-pair one on random phases."""
+    cfg = SimConfig(L=6, K=5)
+    worst = lattice_covariance_error(generate_realization(cfg, rng), cfg, rng)
+    return "lattice effective covariance reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
+
+
 ALL_CHECKS = (
     check_estimation_suite,
     check_optimizer_suite,
@@ -337,6 +358,7 @@ ALL_CHECKS = (
     check_fast_path_equivalence,
     check_correlation_build_equivalence,
     check_estimate_moments,
+    check_lattice_effective_covariance,
 )
 
 

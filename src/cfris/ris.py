@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig  # unused here; perfbench/spans.py wraps ris.hermitian_eig
+from .network import LatticeCorrelation
 
 DEFAULT_ITERATIONS = 100
 RELATIVE_GAIN_EXIT = 1e-8
@@ -95,7 +96,8 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
     mode "optimized" runs the power iteration on each AP's signal-strength
     objective; "random" draws i.i.d. uniform phases. Depends only on
     long-term statistics, never on instantaneous channels. An AP that serves
-    nobody has A = 0, so the iteration returns its all-ones start.
+    nobody has A = 0, so the iteration returns its all-ones start. A lattice
+    stack hands over each B_l summed from the served UEs' offset tables.
     """
     L, _, n = stats.H.shape
     if mode == "random":
@@ -105,7 +107,9 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
     if mode != "optimized":
         raise ValueError(f"unknown phase mode {mode!r}")
     psi = np.empty((L, n), dtype=complex)
+    sums = stats.R.served_sums(assoc.serving_matrix) if isinstance(stats.R, LatticeCorrelation) else None
     for l, served in enumerate(assoc.served_sets):
-        objective = build_objective([stats.R[k, l] for k in served], stats.H[l])
+        served_R = [stats.R[k, l] for k in served] if sums is None else [sums[l]]
+        objective = build_objective(served_R, stats.H[l])
         psi[l] = constrained_power_iteration(objective.A)
     return psi

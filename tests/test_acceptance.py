@@ -127,7 +127,10 @@ def test_criterion_7_receiver_suite():
     report_line(7, *oracles.check_receiver_suite(np.random.default_rng(70)))
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    # four usable CPUs, so that threads=4 runs four workers (the caller and three forked children) on a
+    # smaller machine too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     cfg = SimConfig(
         L=8,
         K=5,

@@ -163,6 +163,21 @@ class TestRunExperiment:
         _run_setup(cfg, SCENARIOS, "pmmse", front_channels(cfg), 0)
         assert alive == [1, 1, 1, 0]
 
+    def test_ris_drop_never_holds_a_correlation_stack(self):
+        # the RIS scenarios keep the N-grid correlation as offset tables: phase selection gathers one
+        # served sum per AP and the banks read E R E^H off the offset basis, so the drop's array peak
+        # stays below the bytes of one (K, L, N, N) complex stack
+        cfg = SimConfig(L=40, K=12, tau_p=5, mc_setups=1, mc_channel_realizations=4)
+        fronts = front_channels(cfg)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _run_setup(cfg, ("ris_optimized", "ris_random"), "pmmse", fronts, 0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.K * cfg.L * cfg.N**2 * 16
+
     def test_non_finite_se_names_setup_scenario_and_ue(self):
         # an unvalidated config with NaN noise power gives NaN SINRs
         cfg = tiny_cfg(noise_power_dbm=float("nan"))
@@ -454,6 +469,22 @@ class TestReportIo:
         rows = path.read_text().splitlines(keepends=True)   # header, then realization 0 ue 0..2, 1 0..2
         path.write_text("".join(edit(rows)))
         with pytest.raises(CfrisError, match=f"scenario no_ris_small.*{problem}"):
+            load_report(str(tmp_path))
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda rows: rows[:2] + [rows[2].replace(",0,1,", ",x,1,")] + rows[3:], "row 3, scenario no_ris_small"),
+        (lambda rows: [rows[0].replace(",se", "")] + [row.rsplit(",", 1)[0] + "\n" for row in rows[1:]],
+         "row 2, scenario no_ris_small"),
+        (lambda rows: rows[:4] + [rows[4].rsplit(",", 1)[0] + "\n"] + rows[5:], "row 5, scenario no_ris_small"),
+    ], ids=["non_integer_realization", "column_missing", "field_missing"])
+    def test_malformed_row_named(self, tmp_path, edit, problem):
+        from cfris.experiment import SeReport
+
+        se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
+        emit_report(SeReport(["no_ris_small"], se, tiny_cfg().as_dict()), str(tmp_path))
+        path = tmp_path / "se_samples.csv"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        with pytest.raises(CfrisError, match=f"se_samples.csv: {problem}: malformed sample"):
             load_report(str(tmp_path))
 
     def test_empty_scenarios_manifest_only(self, tmp_path):

@@ -14,7 +14,7 @@ from cfris.network import (
     ris_grid_positions,
     spatial_correlation_matrices,
 )
-from cfris.oracles import correlation_build_error
+from cfris.oracles import correlation_build_error, lattice_covariance_error
 
 
 def small_cfg(**kw):
@@ -238,6 +238,40 @@ class TestSpatialCorrelation:
         real.ue_positions[1] = real.ap_positions[1]
         for elements in (ris_grid_positions(cfg), active_array_positions(cfg)):
             assert correlation_build_error(real, cfg, elements) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [
+        dict(),
+        dict(N=36, ris_rows=4, ris_cols=9),
+        dict(N=5, ris_rows=1, ris_cols=5, M=2),
+        dict(N=4, ris_rows=2, ris_cols=2, M=2),
+        dict(M=1),
+        dict(angular_spread_deg=0.0),
+    ], ids=["6x6", "4x9", "1x5", "2x2", "M=1", "angular_spread_deg=0.0"])
+    def test_lattice_effective_covariances_match_per_pair_reference(self, sizes):
+        # E R E^H off the per-AP offset basis, on random phases, against the per-pair build and product
+        cfg = SimConfig(**{"L": 5, "K": 4, **sizes})
+        rng = np.random.default_rng(11)
+        real = generate_realization(cfg, rng)
+        real.ue_positions[0] = real.ap_positions[0] + [0.3, -0.4]
+        real.ue_positions[1] = real.ap_positions[1]
+        assert lattice_covariance_error(real, cfg, rng) <= 1e-12
+
+    def test_lattice_stack_gathers_like_an_array(self):
+        # R[k, l], a (K, L) slice and np.asarray all gather the same matrices; Q comes out
+        # C-contiguous in (K, L, M, M) order, as the bank's batched products read it
+        cfg = small_cfg(ris_rows=1, ris_cols=4)
+        rng = np.random.default_rng(5)
+        R = spatial_correlation_matrices(generate_realization(cfg, rng), cfg, ris_grid_positions(cfg))
+        full = np.asarray(R)
+        assert R.shape == full.shape == (4, 3, 4, 4)
+        assert np.array_equal(R[2, 1], full[2, 1])
+        assert np.array_equal(R[:, 1:3], full[:, 1:3])
+        with pytest.raises(ValueError):
+            np.asarray(R, copy=False)
+        fronts = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        q = R.effective_covariances(fronts)
+        assert q.shape == (4, 3, 2, 2) and q.flags.c_contiguous
+        assert np.allclose(q, fronts @ full @ fronts.conj().swapaxes(-1, -2), rtol=1e-12, atol=0)
 
     def test_off_lattice_elements_rejected(self):
         cfg = small_cfg()

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cfris.association import Association
+from cfris.association import Association, assign_pilots_and_clusters
 from cfris.config import SimConfig
-from cfris.network import ChannelStats
+from cfris.network import (ChannelStats, build_ap_ris_channels, generate_realization, ris_grid_positions,
+                           spatial_correlation_matrices)
 from cfris.oracles import _random_psd as random_psd
 from cfris.ris import (
     build_objective,
@@ -184,3 +185,16 @@ class TestSelectLongTerm:
         assoc.serving_matrix[1] = False
         psi = select_long_term_config(stats, assoc, cfg, mode="optimized")
         assert np.array_equal(psi[1], np.ones(4, dtype=complex))
+
+    def test_lattice_stack_gives_the_phases_of_its_gathered_array(self):
+        # the served UEs' offset tables are summed in UE order before one gather per AP: bit for
+        # bit the sum of the gathered matrices, so the phases cannot move
+        cfg = SimConfig(L=10, K=8, tau_p=3)
+        rng = np.random.default_rng(16)
+        real = generate_realization(cfg, rng)
+        assoc = assign_pilots_and_clusters(real, cfg)
+        assert max(len(served) for served in assoc.served_sets) > 2
+        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
+        H = build_ap_ris_channels(cfg, [rng] * cfg.L)
+        psi = select_long_term_config(ChannelStats(R, H), assoc, cfg)
+        assert np.array_equal(psi, select_long_term_config(ChannelStats(np.asarray(R), H), assoc, cfg))

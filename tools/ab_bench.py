@@ -55,6 +55,14 @@ def parse_args(argv):
     return args
 
 
+def export_revision(revision, dest):
+    """Extract the committed files of git ``revision`` of this repository into ``dest``."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", revision],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def bench(tree, workload, seed, seconds):
     """One perfbench run in ``tree``; returns its final JSON line."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -136,10 +144,7 @@ def main(argv=None):
     scratch = tempfile.mkdtemp(prefix="ab_bench-")
     base_tree = os.path.join(scratch, "base")
     try:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", args.revision],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(base_tree, filter="data")
+        export_revision(args.revision, base_tree)
         for workload in args.workload:
             peaks = {side: drop_peak_mib(tree, workload, args.seeds[0])
                      for side, tree in (("base", base_tree), ("new", ROOT))}
