@@ -7,7 +7,7 @@ no-RIS receiver is the special case E_l = I, passed as front None.
 
 import numpy as np
 
-from .linalg import psd_sqrt, tril_inv
+from .linalg import _tril_inv_inplace, psd_sqrt
 from .network import LatticeCorrelation
 
 
@@ -61,10 +61,11 @@ class EffectiveStats:
     effective covariances Q_kl and the pilot Grams G_tl = L_tl L_tl^H are
     not kept. Blocks draw w_tl = L_tl^-1 z_tl ~ CN(0, I) in place of the
     statistic z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
-    sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates are one batched
-    gemm of T with the blocks as the columns. Members are immutable.
+    sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates at an AP are one
+    batched gemm of T with the blocks as the columns. Members are immutable.
 
-    L^-1 is the triangular inverse of the Cholesky factor (linalg.tril_inv).
+    L^-1 is the triangular inverse of the Cholesky factor (linalg.tril_inv),
+    formed over the factor itself.
     When no UE shares its pilot (K <= tau_p) the co-pilot sum is empty, so
     F_kl = (Q_kl L^-H)(sigma^2 L^-1) forms no sum and no product with it; and
     since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
@@ -95,12 +96,16 @@ class EffectiveStats:
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
         gram = np.tensordot(tpp * onehot, Q, axes=1)
         gram += cfg.noise_power_w * np.eye(m)
-        # each (K, L, m, m) stack is dropped once used, so a bank holds at most four at a time
+        # Each (K, L, m, m) stack is dropped once used and the later steps work in place, so a
+        # bank holds at most three at a time, four with co-pilots (a test pins five at toy size,
+        # the gathered Q included). Q may be the caller's R, so nothing writes into it.
         factor = np.linalg.cholesky(gram)
         del gram
-        linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
+        linv = _tril_inv_inplace(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
         del factor
-        q_lh = Q @ linv.conj().swapaxes(-1, -2)
+        np.conj(linv, out=linv)
+        q_lh = Q @ linv.swapaxes(-1, -2)
+        np.conj(linv, out=linv)
         # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
         # G - tpp Q_kl is summed from the other co-pilot UEs, never
         # subtracted: at high pilot SNR Q_kl dominates G and the difference
@@ -109,14 +114,19 @@ class EffectiveStats:
         copilot = onehot.T @ onehot - np.eye(K)
         if copilot.any():
             rest = np.tensordot(tpp * copilot, Q, axes=1)
+            del Q
             rest += cfg.noise_power_w * np.eye(m)
             linv = linv @ rest
+            del rest
         else:
+            del Q
             linv *= cfg.noise_power_w
         f = q_lh @ linv
         del linv
-        self.F = 0.5 * (f + np.conj(np.swapaxes(f, -1, -2)))
-        self.T = np.sqrt(tpp) * q_lh
+        f += f.conj().swapaxes(-1, -2)
+        f *= 0.5
+        q_lh *= np.sqrt(tpp)
+        self.F, self.T = f, q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
         """White draws w ~ CN(0, I), independent across (block, pilot, AP).
@@ -134,11 +144,13 @@ class EffectiveStats:
     def effective_estimates(self, w):
         """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K).
 
-        One batched gemm with the blocks as the columns writes (K, L, m,
-        blocks); the copy into the C-contiguous result runs per AP, in cache.
+        Per AP l one batched gemm, T[:, l] @ w[:, t(k), l] with the blocks as
+        the columns (K products of m x m by m x blocks), is transposed
+        straight into ghat[:, l], so only one AP's product is ever held
+        beside the result.
         """
-        e = self.T @ w[:, self._pilots].transpose(1, 2, 3, 0)
-        ghat = np.empty((w.shape[0], self.L, self.m, self.K), dtype=complex)
+        w = w[:, self._pilots].transpose(1, 2, 3, 0)   # (K, L, m, blocks)
+        ghat = np.empty((w.shape[-1], self.L, self.m, self.K), dtype=complex)
         for l in range(self.L):
-            ghat[:, l] = e[:, l].transpose(2, 1, 0)
+            ghat[:, l] = (self.T[:, l] @ w[:, l]).transpose(2, 1, 0)
         return ghat

@@ -25,17 +25,26 @@ def tril_inv(a):
     general inverse of the whole factor, and on ill-conditioned factors it
     leaves about half its residual (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 8). For n <= TRIL_LEAF it is np.linalg.inv.
+    The argument is left untouched: the inverse is formed in one copy of it.
+    """
+    return _tril_inv_inplace(np.array(a, dtype=np.result_type(a, 1.0)))
+
+
+def _tril_inv_inplace(a):
+    """tril_inv's recursion written over a, a writeable float or complex stack; returns a.
+
+    The halves are inverted in their own place, so only the two products of the lower-left
+    block are temporaries.
     """
     n = a.shape[-1]
     if n <= TRIL_LEAF:
-        return np.linalg.inv(a)
+        a[...] = np.linalg.inv(a)
+        return a
     h = n // 2
-    a_inv, d_inv = tril_inv(a[..., :h, :h]), tril_inv(a[..., h:, h:])
-    out = np.zeros(a.shape, a_inv.dtype)
-    out[..., :h, :h] = a_inv
-    out[..., h:, h:] = d_inv
-    out[..., h:, :h] = -(d_inv @ (a[..., h:, :h] @ a_inv))
-    return out
+    a_inv, d_inv = _tril_inv_inplace(a[..., :h, :h]), _tril_inv_inplace(a[..., h:, h:])
+    a[..., :h, h:] = 0.0
+    a[..., h:, :h] = -(d_inv @ (a[..., h:, :h] @ a_inv))
+    return a
 
 
 def hermitian_gram(w):

@@ -15,12 +15,13 @@ import numpy as np
 from .association import Association, assign_pilots_and_clusters
 from .config import SimConfig
 from .estimation import EffectiveStats, effective_covariance, effective_front, error_covariance, mmse_estimator
-from .experiment import block_batched_se
+from .experiment import _TAG_NETWORK, _rng, block_batched_se, front_channels
 from .linalg import sample_complex_gaussian
-from .network import (NetworkRealization, active_array_positions, build_ap_ris_channels, build_spatial_correlation,
-                      generate_realization, ris_grid_positions, spatial_correlation_matrices)
+from .network import (ChannelStats, NetworkRealization, active_array_positions, build_ap_ris_channels,
+                      build_spatial_correlation, generate_realization, ris_grid_positions, spatial_correlation_matrices)
 from .receiver import _restricted_outer_sum, instantaneous_sinr, mmse_combiner, pmmse_combiner, spectral_efficiency
-from .ris import build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength
+from .ris import (build_objective, constrained_power_iteration, quadratic_objective, received_signal_strength,
+                  select_long_term_config)
 
 
 def _random_psd(rng, n, scale=1.0):
@@ -351,6 +352,41 @@ def check_lattice_effective_covariance(rng):
     return "lattice effective covariance reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
 
 
+def phase_bound_ratios(cfg, drops, rng, draws):
+    """Per serving AP of the given drops of cfg: the optimised phases' psi^H A psi over the smaller
+    of two upper bounds on its maximum over unit-modulus psi, N lambda_max(A) and sum_ij |A_ij|,
+    and the mean of psi^H A psi / tr B over `draws` i.i.d. uniform phase vectors drawn from rng."""
+    fronts = front_channels(cfg)
+    ratios, random_gains = [], []
+    for drop in drops:
+        real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, drop))
+        assoc = assign_pilots_and_clusters(real, cfg)
+        stats = ChannelStats(spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg)), fronts)
+        psi = select_long_term_config(stats, assoc, cfg)
+        for l, served in enumerate(assoc.served_sets):
+            if not served:
+                continue
+            obj = build_objective([stats.R[k, l] for k in served], fronts[l])
+            bound = min(cfg.N * np.linalg.eigvalsh(obj.A)[-1], np.abs(obj.A).sum())
+            ratios.append(quadratic_objective(psi[l], obj.A) / bound)
+            phases = np.exp(2j * np.pi * rng.uniform(size=(draws, cfg.N)))
+            values = np.einsum("dn,nm,dm->d", phases.conj(), obj.A, phases).real
+            random_gains.append(values.mean() / np.trace(obj.B).real)
+    return np.array(ratios), np.array(random_gains)
+
+
+def check_phase_optimizer_bound(rng):
+    """Phase optimiser on the default geometry (seed 1, drops 0-2): at every serving AP the optimised
+    phases reach at least 0.85 of min(N lambda_max(A), sum |A|), and random phases give
+    E[psi^H A psi] = tr A = tr B (unit-norm front columns) within 3% over all APs' draws."""
+    ratios, random_gains = phase_bound_ratios(SimConfig(seed=1), range(3), rng, draws=200)
+    random_mean = float(random_gains.mean())
+    ok = ratios.min() >= 0.85 and abs(random_mean - 1.0) <= 0.03
+    return ("phase optimizer within 0.85 of its upper bound, random phases at tr B", ok,
+            f"bound ratio min {ratios.min():.3f}, median {np.median(ratios):.3f} over {ratios.size} APs; "
+            f"random E[psi^H A psi]/tr B {random_mean:.3f}")
+
+
 ALL_CHECKS = (
     check_estimation_suite,
     check_optimizer_suite,
@@ -359,6 +395,7 @@ ALL_CHECKS = (
     check_correlation_build_equivalence,
     check_estimate_moments,
     check_lattice_effective_covariance,
+    check_phase_optimizer_bound,
 )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cfris.estimation import (
     mmse_estimator,
 )
 from cfris.experiment import _TAG_NETWORK, _rng
-from cfris.linalg import sample_complex_gaussian
+from cfris.linalg import sample_complex_gaussian, tril_inv
 from cfris.network import generate_realization, ris_grid_positions, spatial_correlation_matrices
 from cfris.oracles import _copilot_reference as copilot_reference
 from cfris.oracles import _estimate_cross_covariance as estimate_cross_covariance
@@ -261,6 +263,38 @@ class TestEffectiveStats:
         assert np.array_equal(general.F[1:3], stats.F[1:3])
         assert np.array_equal(general.T[1:3], stats.T[1:3])
         assert not np.array_equal(general.F[0], stats.F[0])
+
+    def test_bank_and_tril_inv_leave_their_inputs_untouched(self):
+        # the bank inverts its factor and conjugates, scales and symmetrizes its stacks in place;
+        # a hand-built complex R without a front is the bank's own Q, so none of that may reach it
+        for _, R, f, pilot_of, cfg in self.banks():
+            inputs = [R] if f is None else [R, f]
+            before = [x.copy() for x in inputs]
+            EffectiveStats(R, f, pilot_of, cfg)
+            assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
+        factor = np.linalg.cholesky(R[0] + np.eye(16))
+        before = factor.copy()
+        tril_inv(factor)
+        assert np.array_equal(factor, before)
+
+    @pytest.mark.parametrize("L, K, tau_p", [(8, 4, 4), (12, 6, 3)])
+    def test_no_ris_bank_holds_few_stacks(self, L, K, tau_p):
+        # a no-RIS bank on a lattice stack gathers Q and keeps T and F; the Gram, its factor and
+        # inverse, Q L^-H, F and its conjugate come and go in place, so the traced peak stays
+        # at 5 (K, L, m, m) stacks with and without co-pilots (K > tau_p shares pilots)
+        cfg = SimConfig(L=L, K=K, M=2, N=16, tau_p=tau_p, ris_rows=4, ris_cols=4)
+        real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0))
+        pilot_of = assign_pilots_and_clusters(real, cfg).pilot_of
+        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stats = EffectiveStats(R, None, pilot_of, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert stats.m == 16
+        assert peak <= 5 * K * L * 16**2 * 16
 
     def test_no_front_dimensions(self):
         stats, *_ = self.build(fronts=False)
