@@ -10,6 +10,8 @@ import numpy as np
 from .linalg import _tril_inv_inplace, psd_sqrt
 from .network import LatticeCorrelation
 
+_DRAW_RUN = 4096   # values per standard_normal call of sample_pilot_statistics, at least a block
+
 
 def effective_front(H_l, psi_l):
     """E_l = H_l diag(psi_l) without forming the diagonal matrix.
@@ -62,7 +64,8 @@ class EffectiveStats:
     not kept. Blocks draw w_tl = L_tl^-1 z_tl ~ CN(0, I) in place of the
     statistic z_tl ~ CN(0, G_tl), so ghat_kl = T_kl w_tl is the MMSE estimate
     sqrt(tau_p rho_p) Q_kl G_tl^-1 z_tl; all UEs' estimates at an AP are one
-    batched gemm of T with the blocks as the columns. Members are immutable.
+    batched gemm of T with the blocks as the columns. Members are immutable;
+    the SE kernel owns a chunk's draws and may overwrite them and its estimates.
 
     L^-1 is the triangular inverse of the Cholesky factor (linalg.tril_inv),
     formed over the factor itself.
@@ -132,12 +135,17 @@ class EffectiveStats:
         """White draws w ~ CN(0, I), independent across (block, pilot, AP).
 
         Shape (blocks, tau_p, L, m). Real parts: the first standard_normal
-        draw of that shape; imaginary parts: the second.
+        draw of that shape; imaginary parts: the second, each drawn in runs
+        of whole blocks through one small reused float buffer (the same
+        stream, no whole-shape temporary). effective_estimates may overwrite w.
         """
         shape = (blocks, self.tau_p, self.L, self.m)
         w = np.empty(shape, dtype=complex)
-        w.real = rng.standard_normal(shape)
-        w.imag = rng.standard_normal(shape)
+        run = max(1, _DRAW_RUN // (self.tau_p * self.L * self.m))
+        buf = np.empty((min(run, blocks),) + shape[1:])
+        for part in (w.real, w.imag):
+            for start in range(0, blocks, run):
+                part[start:start + run] = rng.standard_normal(out=buf[:blocks - start])
         w *= np.sqrt(0.5)
         return w
 
@@ -145,12 +153,13 @@ class EffectiveStats:
         """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K).
 
         Per AP l one batched gemm, T[:, l] @ w[:, t(k), l] with the blocks as
-        the columns (K products of m x m by m x blocks), is transposed
-        straight into ghat[:, l], so only one AP's product is ever held
-        beside the result.
+        the columns (K products of m x m by m x blocks), is written back over
+        its operand, the pilot-gathered draws w[:, t(k)], and ghat is that
+        buffer transposed. With pilots in UE order (K <= tau_p) the gather is
+        w itself, which is then overwritten; otherwise it is a copy.
         """
-        w = w[:, self._pilots].transpose(1, 2, 3, 0)   # (K, L, m, blocks)
-        ghat = np.empty((w.shape[-1], self.L, self.m, self.K), dtype=complex)
+        g = w[:, self._pilots]                         # (blocks, K, L, m)
         for l in range(self.L):
-            ghat[:, l] = (self.T[:, l] @ w[:, l]).transpose(2, 1, 0)
-        return ghat
+            x = g[:, :, l].transpose(1, 2, 0)          # (K, m, blocks)
+            x[...] = self.T[:, l] @ x
+        return g.transpose(0, 2, 3, 1)

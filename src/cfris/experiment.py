@@ -119,11 +119,18 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     needs the combiner, and it is read through u = W y without forming v:
     eps_k = sum_i |u^H C^-1 sqrt(eta) ghat_i|^2 + u^H D u with D = C^-1 Delta
     C^-H. Each group of UEs with one serving set takes one pass per chunk of
-    blocks; one without non-partners forms no u.
+    blocks; one without non-partners forms no u. A lone group on every AP
+    without non-partners (K <= tau_p) whitens the estimates over their own memory.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
     K, m, eta, sigma2 = stats.K, stats.m, cfg.data_power_w, cfg.noise_power_w
+
+    def f_sum(ues, idx):   # sum of F[i, idx] over ues, one term at a time in the order .sum(axis=0) adds them
+        total = stats.F[ues[0]].take(idx, axis=0)
+        for i in ues[1:]:
+            total += stats.F[i].take(idx, axis=0)
+        return total
     groups = {}
     for k, serving in enumerate(assoc.serving_sets):
         groups.setdefault(tuple(serving), []).append(k)
@@ -133,10 +140,8 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
         partners = assoc.pmmse_partners(members[0]) if combiner == "pmmse" else range(K)
         idx, part = np.array(serving), np.array(partners)
         others = sorted(set(range(K)) - set(partners))
-        # a group of every UE on every AP sums F itself, not a copy of it
-        f_part = stats.F if part.size == K and idx.size == stats.L else stats.F[np.ix_(part, idx)]
-        c_inv = tril_inv(np.linalg.cholesky(eta * f_part.sum(axis=0) + sigma2 * np.eye(m)))   # Lambda = C C^H
-        delta_w = (c_inv @ (eta * stats.F[np.ix_(others, idx)].sum(axis=0)) @ c_inv.conj().swapaxes(1, 2)
+        c_inv = tril_inv(np.linalg.cholesky(eta * f_sum(part, idx) + sigma2 * np.eye(m)))   # Lambda = C C^H
+        delta_w = (c_inv @ (eta * f_sum(others, idx)) @ c_inv.conj().swapaxes(1, 2)
                    if others else None)                    # D = C^-1 Delta C^-H
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
         plan.append((slice(None) if idx.size == stats.L else idx, part, others, np.sqrt(eta) * c_inv, delta_w,
@@ -157,7 +162,13 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
     K, m = stats.K, stats.m
     ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
     for idx, part, others, c_inv, delta_w, members, cols in plan:
-        w_all = (c_inv @ ghat[:, idx]).reshape(b, -1, K)    # sqrt(eta) C^-1 ghat on the serving APs, (b, d, K)
+        if len(plan) == 1 and isinstance(idx, slice) and not others:
+            # W over the estimates' memory: a view when each block's values are contiguous, else a copy
+            w_all = ghat.transpose(0, 3, 1, 2).reshape(b, -1).reshape(b, -1, K)
+            for i in range(b):
+                w_all[i] = (c_inv @ ghat[i]).reshape(-1, K)
+        else:
+            w_all = (c_inv @ ghat[:, idx]).reshape(b, -1, K)    # sqrt(eta) C^-1 ghat on the serving APs, (b, d, K)
         w = np.take(w_all, part, axis=-1) if others else w_all   # W = C^-1 G, (b, d, p)
         p = hermitian_gram(w)                               # P = W^H W, (b, p, p)
         y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)

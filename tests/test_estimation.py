@@ -315,13 +315,53 @@ class TestEffectiveStats:
         # pilots are a slice
         for stats, *_ in self.banks():
             w = stats.sample_pilot_statistics(np.random.default_rng(14), 3)
-            ghat = stats.effective_estimates(w)
+            ghat = stats.effective_estimates(w.copy())   # with pilots in UE order it overwrites its argument
             assert ghat.shape == (3, 2, stats.m, 3)
             for b in range(3):
                 for l in range(2):
                     for k in range(3):
                         expected = stats.T[k, l] @ w[b, stats.pilot_of[k], l]
                         assert np.linalg.norm(ghat[b, l, :, k] - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_estimates_overwrite_draws_in_ue_pilot_order(self):
+        # the grid bank's pilots are in UE order (K < tau_p): the estimates are formed over the
+        # draws themselves, leaving the unused pilot slot as drawn
+        stats, *_ = self.build_grid()
+        w = stats.sample_pilot_statistics(np.random.default_rng(19), 3)
+        before = w.copy()
+        ghat = stats.effective_estimates(w)
+        assert np.shares_memory(ghat, w)
+        assert np.array_equal(w[:, 3], before[:, 3])
+        for b, l, k in np.ndindex(3, 2, 3):
+            expected = stats.T[k, l] @ before[b, k, l]
+            assert np.linalg.norm(ghat[b, l, :, k] - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_estimates_leave_shared_pilot_draws_untouched(self):
+        # pilots [0, 1, 0] are gathered into a copy, and the estimates are formed over that copy
+        stats, *_ = self.build()
+        w = stats.sample_pilot_statistics(np.random.default_rng(20), 3)
+        before = w.copy()
+        ghat = stats.effective_estimates(w)
+        assert np.array_equal(w, before)
+        assert not np.shares_memory(ghat, w)
+
+    def test_sampling_holds_little_beside_its_output(self):
+        # real and imaginary parts are drawn through one small reused buffer, not a whole-shape
+        # float draw each, at the chunk shape of the kernel's one-group memory test
+        cfg = SimConfig(L=8, K=4, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
+        rng = np.random.default_rng(21)
+        R = np.stack([np.stack([random_psd(rng, 16, cfg.noise_power_w) for _ in range(cfg.L)])
+                      for _ in range(cfg.K)])
+        stats = EffectiveStats(R, None, np.arange(cfg.K), cfg)
+        blocks = 32
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            w = stats.sample_pilot_statistics(np.random.default_rng(1), blocks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * w.nbytes
 
     def test_sampling_stream(self):
         # real parts are the first standard_normal draw of the full shape, imaginary

@@ -386,9 +386,10 @@ class TestSeKernel:
         assert np.max(np.abs(reference - exact) / exact) <= 1e-9
 
     def test_one_group_chunk_holds_few_estimate_sized_arrays(self):
-        # a whitened chunk keeps the estimates and W = C^-1 G; it forms no G copy, no
-        # Lambda^-1 G and no conjugate of G, and the estimates are written AP by AP with no
-        # (K, L, m, blocks) product beside them, so its array peak stays under 2.75 chunks of estimates
+        # the chunk's draws are drawn through a small buffer, the estimates formed over the draws
+        # AP by AP and whitened over the estimates block by block, so one estimate-sized array
+        # holds the draws, the estimates and W = C^-1 G in turn, and the array peak stays under
+        # 1.75 chunks of estimates
         cfg = SimConfig(L=8, K=4, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
         rng = np.random.default_rng(0)
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
@@ -403,7 +404,7 @@ class TestSeKernel:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * blocks * cfg.L * stats.m * cfg.K * 16
+        assert peak <= 1.75 * blocks * cfg.L * stats.m * cfg.K * 16
 
 
 class TestReportMath:

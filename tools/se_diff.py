@@ -38,6 +38,8 @@ CONFIGS = {
                  ("ris_optimized", "ris_random"), "pmmse"),
     "los-pmmse": (_LOS, _ALL, "pmmse"),
     "los-mmse": (_LOS, _ALL, "mmse"),
+    # K < tau_p leaves pilot slots unused in each block's draws, and 40 blocks end on a partial chunk
+    "few-ues-mmse": (dict(L=20, K=6, tau_p=10, mc_setups=2, mc_channel_realizations=40), _ALL, "mmse"),
 }
 SEEDS = (1, 2, 3)
 THREADS = (1, 2)
