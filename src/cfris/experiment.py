@@ -108,19 +108,20 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
 
     On UE k's serving APs the combiner solves (Lambda + G G^H) v = ghat_k,
     Lambda being the partners' block-diagonal error-plus-noise blocks and G
-    = [sqrt(eta) ghat_i] over the partners. Each AP block is whitened once:
-    Lambda = C C^H and W = C^-1 G, so P = G^H Lambda^-1 G = W^H W, read as
-    W's real Gram (linalg.hermitian_gram). With S = I + P and y UE k's
-    column of S^-1, v = C^-H W y up to a scale the SINR ignores, so G^H v =
-    P y: the signal is q_k^2 and the other partners' power plus v^H Lambda v
-    is y_k q_k, where y_k = [S^-1]_kk and q_k = [P S^-1]_kk = 1 - y_k, formed
-    as a product. SINR_k = q_k^2 / (y_k q_k + eps_k); only eps_k, the
-    non-partners' power plus v^H Delta v (Delta = eta sum F_i over them),
-    needs the combiner, and it is read through u = W y without forming v:
-    eps_k = sum_i |u^H C^-1 sqrt(eta) ghat_i|^2 + u^H D u with D = C^-1 Delta
-    C^-H. Each group of UEs with one serving set takes one pass per chunk of
-    blocks; one without non-partners forms no u. A lone group on every AP
-    without non-partners (K <= tau_p) whitens the estimates over their own memory.
+    = [sqrt(eta) ghat_i] over the partners. Each group of UEs with one serving
+    set takes one pass per chunk of blocks: it whitens each AP block once for
+    all K UEs, Lambda = C C^H and W = C^-1 sqrt(eta) ghat, and reads P = W^H W
+    (G^H Lambda^-1 G over the partners) as W's real Gram (linalg.hermitian_gram).
+    S = I + P with the non-partners' rows and columns masked to zero, so y, UE
+    k's column of S^-1, is zero off the partners and v = C^-H W y up to a scale
+    the SINR ignores: G^H v = P y, the signal is q_k^2 and the other partners'
+    power plus v^H Lambda v is y_k q_k, where y_k = [S^-1]_kk and q_k = [P
+    S^-1]_kk = 1 - y_k, formed as a product. SINR_k = q_k^2 / (y_k q_k + eps_k),
+    eps_k being the non-partners' power plus v^H Delta v (Delta = eta sum F_i
+    over them): (P y)_i = (C^-1 sqrt(eta) ghat_i)^H u with u = W y = C^H v, so
+    non-partner i's power is |(P y)_i|^2, and u is formed only for u^H D u, D
+    = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p) writes W over the
+    estimates' memory, any other group into one fresh array.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -138,14 +139,14 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     for serving, members in groups.items():
         # P-MMSE partners are the UEs on a serving AP, so one serving set has one partner set
         partners = assoc.pmmse_partners(members[0]) if combiner == "pmmse" else range(K)
-        idx, part = np.array(serving), np.array(partners)
-        others = sorted(set(range(K)) - set(partners))
-        c_inv = tril_inv(np.linalg.cholesky(eta * f_sum(part, idx) + sigma2 * np.eye(m)))   # Lambda = C C^H
+        idx, partner = np.array(serving), np.isin(np.arange(K), partners)
+        others = list(np.flatnonzero(~partner))
+        c_inv = tril_inv(np.linalg.cholesky(eta * f_sum(partners, idx) + sigma2 * np.eye(m)))   # Lambda = C C^H
         delta_w = (c_inv @ (eta * f_sum(others, idx)) @ c_inv.conj().swapaxes(1, 2)
                    if others else None)                    # D = C^-1 Delta C^-H
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
-        plan.append((slice(None) if idx.size == stats.L else idx, part, others, np.sqrt(eta) * c_inv, delta_w,
-                     members, [partners.index(k) for k in members]))
+        plan.append((slice(None) if idx.size == stats.L else idx, np.outer(partner, partner), others,
+                     np.sqrt(eta) * c_inv, delta_w, members))
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):
@@ -161,23 +162,21 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
     """
     K, m = stats.K, stats.m
     ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
-    for idx, part, others, c_inv, delta_w, members, cols in plan:
-        if len(plan) == 1 and isinstance(idx, slice) and not others:
-            # W over the estimates' memory: a view when each block's values are contiguous, else a copy
-            w_all = ghat.transpose(0, 3, 1, 2).reshape(b, -1).reshape(b, -1, K)
-            for i in range(b):
-                w_all[i] = (c_inv @ ghat[i]).reshape(-1, K)
-        else:
-            w_all = (c_inv @ ghat[:, idx]).reshape(b, -1, K)    # sqrt(eta) C^-1 ghat on the serving APs, (b, d, K)
-        w = np.take(w_all, part, axis=-1) if others else w_all   # W = C^-1 G, (b, d, p)
-        p = hermitian_gram(w)                               # P = W^H W, (b, p, p)
-        y = np.linalg.inv(p + np.eye(p.shape[1]))[..., cols]   # members' columns of S^-1, (b, p, n)
-        y_k, q_k = np.einsum("bnn->bn", y[:, cols]).real, np.einsum("bnp,bpn->bn", p[:, cols], y).real
+    for idx, mask, others, c_inv, delta_w, members in plan:
+        # W = sqrt(eta) C^-1 ghat on the serving APs for all K UEs, (b, d, K), block by block, over the estimates'
+        # memory in a lone group on every AP, their only reader (a view if each block is contiguous, else a copy)
+        w = (ghat.transpose(0, 3, 1, 2).reshape(b, -1).reshape(b, -1, K) if len(plan) == 1 and isinstance(idx, slice)
+             else np.empty((b, c_inv.shape[0] * m, K), complex))
+        for i in range(b):
+            w[i] = (c_inv @ ghat[i, idx]).reshape(-1, K)
+        p = hermitian_gram(w)                               # P = W^H W, (b, K, K)
+        # S = I + P over the partner pairs, identity on the non-partners: S^-1 is zero off the partners
+        y = np.linalg.inv(np.where(mask, p, 0) + np.eye(K))[..., members]   # members' columns of S^-1, (b, K, n)
+        y_k, q_k = np.einsum("bnn->bn", y[:, members]).real, np.einsum("bnp,bpn->bn", p[:, members], y).real
         eps = 0.0
         if others:
-            u = w @ y                                       # C^H v for the members' combiners v, (b, d, n)
-            eps = np.sum(np.abs(u.conj().swapaxes(1, 2) @ np.take(w_all, others, axis=-1)) ** 2, axis=2)
-            ub = u.reshape(b, c_inv.shape[0], m, -1)
+            eps = np.sum(np.abs(p[:, others] @ y) ** 2, axis=1)   # the non-partners' power |(P y)_i|^2
+            ub = (w @ y).reshape(b, c_inv.shape[0], m, -1)      # u = W y = C^H v for the members' combiners v
             eps += np.sum(ub.conj() * (delta_w @ ub), axis=(1, 2)).real
         sum_log[members] += np.log2(1.0 + q_k**2 / (y_k * q_k + eps)).sum(axis=0)
 

@@ -385,6 +385,19 @@ class TestSeKernel:
         assert np.max(np.abs(fast - exact) / exact) <= 1e-9
         assert np.max(np.abs(reference - exact) / exact) <= 1e-9
 
+    @staticmethod
+    def _chunk_peak_in_estimates(stats, assoc, cfg):
+        """The tracemalloc peak of one kernel call over one chunk of blocks, in chunks of estimates."""
+        blocks = cfris.experiment._BLOCK_CHUNK
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=blocks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return peak / (blocks * stats.L * stats.m * stats.K * 16)
+
     def test_one_group_chunk_holds_few_estimate_sized_arrays(self):
         # the chunk's draws are drawn through a small buffer, the estimates formed over the draws
         # AP by AP and whitened over the estimates block by block, so one estimate-sized array
@@ -395,16 +408,34 @@ class TestSeKernel:
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
         r, assoc, _ = _equivalence_drop(rng, cfg, beta)
         assert assoc.serving_matrix.all()   # one UE group
-        stats = EffectiveStats(r, None, assoc.pilot_of, cfg)
-        blocks = cfris.experiment._BLOCK_CHUNK
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=blocks)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * blocks * cfg.L * stats.m * cfg.K * 16
+        assert self._chunk_peak_in_estimates(EffectiveStats(r, None, assoc.pilot_of, cfg), assoc, cfg) <= 1.75
+
+    def test_multi_group_chunk_holds_few_estimate_sized_arrays(self):
+        # each UE group whitens all K UEs' estimates block by block into one fresh array and reads
+        # the partners' S and the non-partners' power off one Gram, with no copy of the estimates'
+        # columns, so six groups keep the array peak under 3.5 chunks of estimates
+        cfg = SimConfig(L=12, K=6, M=2, N=16, tau_p=3, ris_rows=4, ris_cols=4)
+        rng = np.random.default_rng(0)
+        beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, _ = _equivalence_drop(rng, cfg, beta)
+        assert len({tuple(serving) for serving in assoc.serving_sets}) == 6
+        assert any(len(assoc.pmmse_partners(k)) < cfg.K for k in range(cfg.K))   # some groups have non-partners
+        assert self._chunk_peak_in_estimates(EffectiveStats(r, None, assoc.pilot_of, cfg), assoc, cfg) <= 3.5
+
+    @pytest.mark.parametrize("combiner", ["pmmse", "mmse"])
+    def test_lone_group_off_some_ap_matches_reference(self, combiner):
+        # AP 2 serves nobody, so the single UE group's serving set is an index array and W goes
+        # to a fresh array, not over the estimates; no DCC drop reaches this case
+        cfg = SimConfig(L=3, K=3, M=2, N=4, tau_p=3, ris_rows=2, ris_cols=2)
+        rng = np.random.default_rng(7)
+        beta = rng.uniform(0.5, 2.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
+        r, _, fronts = _equivalence_drop(rng, cfg, beta)
+        serving = np.ones((cfg.L, cfg.K), dtype=bool)
+        serving[2] = False
+        assoc = Association(np.arange(cfg.K), np.zeros(cfg.K, dtype=int), serving)
+        stats = EffectiveStats(r, fronts, assoc.pilot_of, cfg)
+        fast, reference, cond = _kernel_and_reference(stats, assoc, cfg, combiner, n_blocks=5)
+        assert np.all(np.abs(fast - reference) / reference <= 1e-10 + 10 * np.finfo(float).eps * cond)
 
 
 class TestReportMath:

@@ -40,6 +40,9 @@ CONFIGS = {
     "los-mmse": (_LOS, _ALL, "mmse"),
     # K < tau_p leaves pilot slots unused in each block's draws, and 40 blocks end on a partial chunk
     "few-ues-mmse": (dict(L=20, K=6, tau_p=10, mc_setups=2, mc_channel_realizations=40), _ALL, "mmse"),
+    # K > tau_p on the crowded geometry: many UE groups with non-partners, up to m = 36 per AP block
+    "crowded-no-ris": (dict(L=100, K=20, M=4, N=36, tau_p=10, mc_setups=1, mc_channel_realizations=8),
+                       ("no_ris_small", "no_ris_large"), "pmmse"),
 }
 SEEDS = (1, 2, 3)
 THREADS = (1, 2)
