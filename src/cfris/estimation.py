@@ -7,7 +7,7 @@ no-RIS receiver is the special case E_l = I, passed as front None.
 
 import numpy as np
 
-from .linalg import _tril_inv_inplace, psd_sqrt
+from .linalg import psd_sqrt, tril_inv
 from .network import LatticeCorrelation
 
 _DRAW_RUN = 4096   # values per standard_normal call of sample_pilot_statistics, at least a block
@@ -23,11 +23,12 @@ def effective_front(H_l, psi_l):
 
 
 def effective_covariance(R_kl, front):
-    """Q_kl = E_l R_kl E_l^H, the covariance of the effective channel."""
+    """Q_kl = E_l R_kl E_l^H, the covariance of the effective channel; R_kl itself without a front.
+    Broadcasts: a (K, L, n, n) stack with (L, m, n) fronts gives the (K, L, m, m) stack."""
     if front is None:
         return np.asarray(R_kl, dtype=complex)
     x = front @ R_kl
-    return x @ front.conj().T
+    return x @ front.conj().swapaxes(-1, -2)
 
 
 def _copilot_rest(copilot_Q, m, cfg):
@@ -74,9 +75,9 @@ class EffectiveStats:
     since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
     slices that copy nothing.
 
-    R is a (K, L, n, n) array or a network.LatticeCorrelation. Without a
-    front Q is R, gathered; with fronts a lattice stack forms E R E^H off its
-    per-AP offset basis Phi and is never gathered.
+    R is a (K, L, n, n) array or a network.LatticeCorrelation. A lattice
+    stack with fronts forms E R E^H off its per-AP offset basis Phi and is
+    never gathered; every other case takes Q from effective_covariance.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -88,13 +89,10 @@ class EffectiveStats:
         # pilots in UE order (K <= tau_p) make the gather t(k) a slice
         self._pilots = slice(K) if np.array_equal(self.pilot_of, np.arange(K)) else self.pilot_of
 
-        if fronts is None:
-            Q = np.asarray(R, dtype=complex)
-        elif isinstance(R, LatticeCorrelation):
+        if fronts is not None and isinstance(R, LatticeCorrelation):
             Q = R.effective_covariances(fronts)
         else:
-            fh = fronts.conj().swapaxes(-1, -2)
-            Q = (fronts[None] @ R) @ fh[None]
+            Q = effective_covariance(R, fronts)
 
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
         gram = np.tensordot(tpp * onehot, Q, axes=1)
@@ -104,7 +102,7 @@ class EffectiveStats:
         # the gathered Q included). Q may be the caller's R, so nothing writes into it.
         factor = np.linalg.cholesky(gram)
         del gram
-        linv = _tril_inv_inplace(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
+        linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
         del factor
         np.conj(linv, out=linv)
         q_lh = Q @ linv.swapaxes(-1, -2)

@@ -11,6 +11,7 @@ which makes the output independent of the worker count.
 import csv
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,13 +326,13 @@ def load_report(out_dir):
         setup, ue, value = zip(*entries)
         if min(setup) < 0 or min(ue) < 0:
             raise CfrisError(f"{data_path}: scenario {name} has a negative realization or ue index")
-        count = np.zeros((1 + max(setup), 1 + max(ue)), dtype=int)
-        np.add.at(count, (setup, ue), 1)
-        bad = np.argwhere(count != 1)
-        if bad.size:
-            cell = tuple(bad[0])
+        shape, count = (1 + max(setup), 1 + max(ue)), Counter(zip(setup, ue))
+        # a grid of more cells than rows misses one among the first len(entries) + 1, so no more are read
+        cells = (divmod(i, shape[1]) for i in range(min(shape[0] * shape[1], len(entries) + 1)))
+        cell = next((c for c in cells if count[c] != 1), None)
+        if cell is not None:
             raise CfrisError(f"{data_path}: scenario {name}: realization {cell[0]}, ue {cell[1]} is "
                              f"{'missing' if count[cell] == 0 else 'repeated'}")
-        se[name] = np.empty(count.shape)
+        se[name] = np.empty(shape)
         se[name][setup, ue] = value
     return SeReport(scenarios=list(rows), se=se, config=config)

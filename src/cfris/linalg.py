@@ -17,31 +17,21 @@ TRIL_LEAF = 9           # largest lower triangle tril_inv hands to np.linalg.inv
 
 
 def tril_inv(a):
-    """Inverse of a stack (..., n, n) of invertible lower triangles, by recursive halving.
+    """Inverse of a stack (..., n, n) of invertible lower triangles, by recursive halving, written over a.
 
-    [A, 0; B, D]^-1 = [A^-1, 0; -D^-1 B A^-1, D^-1]: the halves recurse down to
-    triangles of at most TRIL_LEAF rows, which np.linalg.inv inverts. Above
-    the leaves the inverse is exactly triangular; it costs about half a
-    general inverse of the whole factor, and on ill-conditioned factors it
-    leaves about half its residual (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 8). For n <= TRIL_LEAF it is np.linalg.inv.
-    The argument is left untouched: the inverse is formed in one copy of it.
-    """
-    return _tril_inv_inplace(np.array(a, dtype=np.result_type(a, 1.0)))
-
-
-def _tril_inv_inplace(a):
-    """tril_inv's recursion written over a, a writeable float or complex stack; returns a.
-
-    The halves are inverted in their own place, so only the two products of the lower-left
-    block are temporaries.
+    [A, 0; B, D]^-1 = [A^-1, 0; -D^-1 B A^-1, D^-1]: the halves are inverted in their own place down
+    to triangles of at most TRIL_LEAF rows, which np.linalg.inv inverts, so only the two products of
+    the lower-left block are temporaries. Above the leaves the inverse is exactly triangular; it costs
+    about half a general inverse of the whole factor, and on ill-conditioned factors it leaves about
+    half its residual (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8). For n <=
+    TRIL_LEAF it is np.linalg.inv. a must be a writeable float or complex stack; it is returned.
     """
     n = a.shape[-1]
     if n <= TRIL_LEAF:
         a[...] = np.linalg.inv(a)
         return a
     h = n // 2
-    a_inv, d_inv = _tril_inv_inplace(a[..., :h, :h]), _tril_inv_inplace(a[..., h:, h:])
+    a_inv, d_inv = tril_inv(a[..., :h, :h]), tril_inv(a[..., h:, h:])
     a[..., :h, h:] = 0.0
     a[..., h:, :h] = -(d_inv @ (a[..., h:, :h] @ a_inv))
     return a

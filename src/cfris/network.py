@@ -42,7 +42,7 @@ class NetworkRealization:
 class ChannelStats:
     """Long-term statistics: correlation matrices and fixed front channels."""
 
-    R: object              # (K, L, n, n) Hermitian PSD, trace = n * beta: an array or a LatticeCorrelation
+    R: object              # (K, L, n, n) Hermitian PSD, trace = n * beta: a LatticeCorrelation
     H: np.ndarray | None   # (L, M, N) front matrices; None for no-RIS setups
 
 

@@ -95,7 +95,7 @@ def check_optimizer_suite(rng):
             a = _random_psd(rng, 5)
             start_obj = quadratic_objective(np.ones(5, dtype=complex), a)
             try:
-                psi = constrained_power_iteration(a, iterations=50)
+                psi = constrained_power_iteration(a)
             except RuntimeWarning:
                 monotone = False
                 break

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import hermitian_eig  # unused here; perfbench/spans.py wraps ris.hermitian_eig
-from .network import LatticeCorrelation
 
 DEFAULT_ITERATIONS = 100
 RELATIVE_GAIN_EXIT = 1e-8
@@ -53,21 +52,22 @@ def quadratic_objective(psi, A):
     return float(np.real(psi.conj() @ A @ psi))
 
 
-def constrained_power_iteration(A, iterations=DEFAULT_ITERATIONS):
+def constrained_power_iteration(A):
     """Unit-modulus phase vector maximizing psi^H A psi (heuristically).
 
-    Starts from the all-ones vector. Each step projects w = A psi entrywise
-    onto the unit circle, w / |w| (an entry with w_n = 0 maps to 1), and
-    forms one product A psi for the candidate: it gives the candidate's
-    objective and is the next step's w. Exits early once the relative
-    objective gain drops below RELATIVE_GAIN_EXIT. If A psi vanishes
-    (possible when A = 0) the current iterate is returned unchanged.
+    Starts from the all-ones vector. Each of at most DEFAULT_ITERATIONS
+    steps projects w = A psi entrywise onto the unit circle, w / |w| (an
+    entry with w_n = 0 maps to 1), and forms one product A psi for the
+    candidate: it gives the candidate's objective and is the next step's w.
+    Exits early once the relative objective gain drops below
+    RELATIVE_GAIN_EXIT. If A psi vanishes (possible when A = 0) the current
+    iterate is returned unchanged.
     """
     n = A.shape[0]
     psi = np.ones(n, dtype=complex)
     obj = quadratic_objective(psi, A)
     w = A @ psi
-    for _ in range(max(int(iterations), 1)):
+    for _ in range(DEFAULT_ITERATIONS):
         mag = np.abs(w)
         if not mag.all():
             if not mag.any():
@@ -95,9 +95,10 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
 
     mode "optimized" runs the power iteration on each AP's signal-strength
     objective; "random" draws i.i.d. uniform phases. Depends only on
-    long-term statistics, never on instantaneous channels. An AP that serves
-    nobody has A = 0, so the iteration returns its all-ones start. A lattice
-    stack hands over each B_l summed from the served UEs' offset tables.
+    long-term statistics, never on instantaneous channels. stats.R is the
+    network.LatticeCorrelation of spatial_correlation_matrices; each B_l is
+    summed from the served UEs' offset tables. An AP that serves nobody has
+    B_l = A_l = 0, so the iteration returns its all-ones start.
     """
     L, _, n = stats.H.shape
     if mode == "random":
@@ -107,9 +108,7 @@ def select_long_term_config(stats, assoc, cfg, mode="optimized", rng=None):
     if mode != "optimized":
         raise ValueError(f"unknown phase mode {mode!r}")
     psi = np.empty((L, n), dtype=complex)
-    sums = stats.R.served_sums(assoc.serving_matrix) if isinstance(stats.R, LatticeCorrelation) else None
-    for l, served in enumerate(assoc.served_sets):
-        served_R = [stats.R[k, l] for k in served] if sums is None else [sums[l]]
-        objective = build_objective(served_R, stats.H[l])
-        psi[l] = constrained_power_iteration(objective.A)
+    B = stats.R.served_sums(assoc.serving_matrix)
+    for l in range(L):
+        psi[l] = constrained_power_iteration(build_objective([B[l]], stats.H[l]).A)
     return psi

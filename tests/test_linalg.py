@@ -116,14 +116,16 @@ class TestTrilInv:
         gram = x @ x.conj().swapaxes(-1, -2) / n + np.eye(n)
         gram[-1] = (u * np.logspace(0, -12, n)) @ u.conj().T
         factor = np.linalg.cholesky(gram)
-        inv = tril_inv(factor)
+        work = factor.copy()
+        inv = tril_inv(work)
+        assert inv is work   # formed over its argument
         for a, x_inv in zip(factor, inv):
             assert np.linalg.norm(a @ x_inv - np.eye(n)) <= 1e-13 * np.sqrt(n)
             assert np.linalg.norm(np.triu(x_inv, 1)) <= 1e-13 * np.linalg.norm(x_inv)
 
     def test_leaf_is_the_general_inverse(self):
         a = np.linalg.cholesky(np.diag([4.0, 1.0, 9.0]) + 0.5)
-        assert np.array_equal(tril_inv(a), np.linalg.inv(a))
+        assert np.array_equal(tril_inv(a.copy()), np.linalg.inv(a))
 
 
 class TestHermitianGram:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfris.association import assign_pilots_and_clusters
 from cfris.config import SimConfig
 from cfris.network import (
     NetworkRealization,
@@ -272,6 +273,22 @@ class TestSpatialCorrelation:
         q = R.effective_covariances(fronts)
         assert q.shape == (4, 3, 2, 2) and q.flags.c_contiguous
         assert np.allclose(q, fronts @ full @ fronts.conj().swapaxes(-1, -2), rtol=1e-12, atol=0)
+
+    def test_served_sums_are_the_ue_order_sums_of_the_gathered_matrices(self):
+        # the served UEs' offset tables are summed in UE order before one gather per AP: bit for
+        # bit the sum of the gathered matrices, so the phases chosen from B_l cannot move
+        cfg = SimConfig(L=10, K=8, tau_p=3)
+        real = generate_realization(cfg, np.random.default_rng(16))
+        assoc = assign_pilots_and_clusters(real, cfg)
+        assert max(len(served) for served in assoc.served_sets) > 2
+        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
+        sums = R.served_sums(assoc.serving_matrix)
+        assert sums.shape == (cfg.L, cfg.N, cfg.N)
+        for l, served in enumerate(assoc.served_sets):
+            expected = np.zeros((cfg.N, cfg.N), dtype=complex)
+            for k in served:
+                expected += R[k, l]
+            assert np.array_equal(sums[l], expected)
 
     def test_off_lattice_elements_rejected(self):
         cfg = small_cfg()

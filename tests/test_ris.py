@@ -3,10 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cfris.association import Association, assign_pilots_and_clusters
+from cfris.association import Association
 from cfris.config import SimConfig
-from cfris.network import (ChannelStats, build_ap_ris_channels, generate_realization, ris_grid_positions,
-                           spatial_correlation_matrices)
+from cfris.network import ChannelStats, generate_realization, ris_grid_positions, spatial_correlation_matrices
 from cfris.oracles import _random_psd as random_psd
 from cfris.ris import (
     build_objective,
@@ -110,7 +109,7 @@ class TestPowerIteration:
             a = random_psd(rng, 5)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                psi = constrained_power_iteration(a, iterations=60)
+                psi = constrained_power_iteration(a)
             assert quadratic_objective(psi, a) >= quadratic_objective(np.ones(5, dtype=complex), a) - 1e-9
 
     def test_beats_exhaustive_grid_within_one_percent(self):
@@ -135,9 +134,7 @@ class TestPowerIteration:
 class TestSelectLongTerm:
     def setup_stats(self, rng):
         cfg = SimConfig(L=2, K=2, M=2, N=4, tau_p=2, ris_rows=2, ris_cols=2)
-        R = np.stack(
-            [np.stack([random_psd(rng, 4) for _ in range(2)]) for _ in range(2)]
-        )
+        R = spatial_correlation_matrices(generate_realization(cfg, rng), cfg, ris_grid_positions(cfg))
         H = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
         serving = np.array([[True, True], [False, True]])
         assoc = Association(
@@ -175,9 +172,10 @@ class TestSelectLongTerm:
         assert np.allclose(np.abs(psi), 1.0, atol=1e-12)
         for l in range(2):
             obj = build_objective([stats.R[k, l] for k in assoc.served_sets[l]], stats.H[l])
-            assert quadratic_objective(psi[l], obj.A) >= quadratic_objective(
+            # the objective scales with the path loss, so the slack is relative to it
+            assert quadratic_objective(psi[l], obj.A) >= (1 - 1e-9) * quadratic_objective(
                 np.ones(4, dtype=complex), obj.A
-            ) - 1e-9
+            )
 
     def test_unserved_ap_keeps_neutral_phases(self):
         rng = np.random.default_rng(15)
@@ -185,16 +183,3 @@ class TestSelectLongTerm:
         assoc.serving_matrix[1] = False
         psi = select_long_term_config(stats, assoc, cfg, mode="optimized")
         assert np.array_equal(psi[1], np.ones(4, dtype=complex))
-
-    def test_lattice_stack_gives_the_phases_of_its_gathered_array(self):
-        # the served UEs' offset tables are summed in UE order before one gather per AP: bit for
-        # bit the sum of the gathered matrices, so the phases cannot move
-        cfg = SimConfig(L=10, K=8, tau_p=3)
-        rng = np.random.default_rng(16)
-        real = generate_realization(cfg, rng)
-        assoc = assign_pilots_and_clusters(real, cfg)
-        assert max(len(served) for served in assoc.served_sets) > 2
-        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
-        H = build_ap_ris_channels(cfg, [rng] * cfg.L)
-        psi = select_long_term_config(ChannelStats(R, H), assoc, cfg)
-        assert np.array_equal(psi, select_long_term_config(ChannelStats(np.asarray(R), H), assoc, cfg))

@@ -35,9 +35,10 @@ def write_root(root, moved=None):
 def test_identical_runs(tmp_path):
     write_root(str(tmp_path / "base"))
     write_root(str(tmp_path / "new"))
-    lines = se_diff.summarize(str(tmp_path / "base"), str(tmp_path / "new"), CONFIGS, SEEDS)
+    lines, status = se_diff.summarize(str(tmp_path / "base"), str(tmp_path / "new"), CONFIGS, SEEDS)
     assert lines[1:] == ["  ris_optimized  identical", "  no_ris_small   identical",
                          "  threads 1 and 2 files: base identical, new identical"]
+    assert status == 0
 
 
 def test_one_ulp_move_is_reported(tmp_path):
@@ -47,8 +48,9 @@ def test_one_ulp_move_is_reported(tmp_path):
     moves = se_diff.se_moves([(seed, *(str(tmp_path / side / se_diff.run_dir("toy", seed, 1)) for side in ("base", "new")))
                               for seed in SEEDS])
     assert moves == {"ris_optimized": None, "no_ris_small": (math.ulp(value) / value, 2, 1, 2)}
-    lines = se_diff.summarize(str(tmp_path / "base"), str(tmp_path / "new"), CONFIGS, SEEDS)
+    lines, status = se_diff.summarize(str(tmp_path / "base"), str(tmp_path / "new"), CONFIGS, SEEDS)
     assert lines[1] == "  ris_optimized  identical"
     assert lines[2] == f"  no_ris_small   largest relative SE move {math.ulp(value) / value:.1e} (seed 2, setup 1, UE 2)"
     # only the new tree's threads=1 run moved, so its threads 1 and 2 files differ
     assert lines[3] == "  threads 1 and 2 files: base identical, new DIFFERENT"
+    assert status == 1

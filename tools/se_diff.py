@@ -10,7 +10,8 @@ and 2. For each config and scenario the summary prints ``identical`` when
 every SE of the threads=1 runs equals the revision's bit for bit, and
 otherwise the largest relative SE move with its seed, setup and UE. Per
 config it also says whether threads 1 and 2 wrote identical files in each
-tree.
+tree. The exit status is 1 when any SE moved or a tree's threads 1 and 2
+files differ, else 0.
 
 Standard library only.
 """
@@ -111,21 +112,24 @@ def same_files(a, b):
 
 
 def summarize(base_root, new_root, configs=CONFIGS, seeds=SEEDS):
-    """One block of lines per config: each scenario's SE move, then the threads 1 and 2 check."""
-    lines = []
+    """One block of lines per config: each scenario's SE move, then the threads 1 and 2 check; and the
+    exit status, 1 if any SE moved or any threads 1 and 2 files differ, else 0."""
+    lines, status = [], 0
     for name, (sizes, scenarios, combiner) in configs.items():
         lines.append(f"{name} ({', '.join(f'{k}={v}' for k, v in sizes.items())}; {combiner}):")
         moves = se_moves([(seed, os.path.join(base_root, run_dir(name, seed, 1)),
                            os.path.join(new_root, run_dir(name, seed, 1))) for seed in seeds])
         for scenario, move in moves.items():
+            status |= move is not None
             lines.append(f"  {scenario:14s} " + ("identical" if move is None else
                          "largest relative SE move {:.1e} (seed {}, setup {}, UE {})".format(*move)))
         verdicts = []
         for side, root in (("base", base_root), ("new", new_root)):
             same = all(same_files(*(os.path.join(root, run_dir(name, seed, t)) for t in THREADS)) for seed in seeds)
+            status |= not same
             verdicts.append(f"{side} {'identical' if same else 'DIFFERENT'}")
         lines.append(f"  threads 1 and 2 files: {', '.join(verdicts)}")
-    return lines
+    return lines, status
 
 
 def main(argv=None):
@@ -141,10 +145,12 @@ def main(argv=None):
         run_tree(ROOT, roots["new"])
         print(f"SE of {args.revision} (base) against the working tree (new), seeds "
               f"{', '.join(map(str, SEEDS))}, compared at threads 1")
-        print("\n".join(summarize(roots["base"], roots["new"])))
+        lines, status = summarize(roots["base"], roots["new"])
+        print("\n".join(lines))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
