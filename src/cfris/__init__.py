@@ -1,49 +1,12 @@
 """Uplink simulator for user-centric cell-free massive MIMO with
-RIS-integrated antenna arrays."""
+RIS-integrated antenna arrays.
 
-from .association import Association, assign_pilots_and_clusters
+The package exports the run-and-report API; every other name is imported
+from its module, for example ``from cfris.ris import constrained_power_iteration``.
+"""
+
 from .config import SimConfig, load_config
-from .estimation import (
-    EffectiveStats,
-    effective_covariance,
-    effective_front,
-    error_covariance,
-    mmse_estimator,
-)
-from .exceptions import (
-    CfrisError,
-    ConfigError,
-    DimensionError,
-    ModelError,
-)
-from .experiment import (
-    SCENARIOS,
-    ExperimentSpec,
-    SeReport,
-    emit_report,
-    load_report,
-    run_experiment,
-)
-from .linalg import hermitian_eig, sample_complex_gaussian
-from .network import (
-    ChannelStats,
-    NetworkRealization,
-    build_ap_ris_channels,
-    build_spatial_correlation,
-    generate_realization,
-    pathloss_beta,
-)
-from .receiver import (
-    instantaneous_sinr,
-    mmse_combiner,
-    pmmse_combiner,
-    spectral_efficiency,
-)
-from .ris import (
-    SignalStrengthObjective,
-    build_objective,
-    constrained_power_iteration,
-    select_long_term_config,
-)
+from .exceptions import CfrisError, ConfigError, DimensionError, ModelError
+from .experiment import SCENARIOS, ExperimentSpec, SeReport, emit_report, load_report, run_experiment
 
 __version__ = "0.1.0"

@@ -145,9 +145,10 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
         c_inv = tril_inv(np.linalg.cholesky(eta * f_sum(partners, idx) + sigma2 * np.eye(m)))   # Lambda = C C^H
         delta_w = (c_inv @ (eta * f_sum(others, idx)) @ c_inv.conj().swapaxes(1, 2)
                    if others else None)                    # D = C^-1 Delta C^-H
+        c_inv *= np.sqrt(eta)                              # the plan keeps only sqrt(eta) C^-1
         # a whole axis is a slice, so the block loop views the estimates instead of copying them
         plan.append((slice(None) if idx.size == stats.L else idx, np.outer(partner, partner), others,
-                     np.sqrt(eta) * c_inv, delta_w, members))
+                     c_inv, delta_w, members))
 
     sum_log = np.zeros(K)
     for start in range(0, n_blocks, _BLOCK_CHUNK):

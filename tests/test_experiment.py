@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -640,21 +641,43 @@ class TestCli:
     def test_import_loads_no_worker_machinery(self):
         # run_experiment imports the process pool when it forks, so set-up does not pay for it;
         # numpy itself loads ctypes
-        code = ("import sys, numpy; before = set(sys.modules); import cfris, cfris.cli; "
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'ctypes') "
-                "if m in set(sys.modules) - before))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-3000:]
-        assert proc.stdout.strip() == "[]"
+        assert fresh_interpreter_output(
+            "import sys, numpy; before = set(sys.modules); import cfris, cfris.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', 'ctypes') "
+            "if m in set(sys.modules) - before))") == "[]"
+
+    def test_import_loads_no_reference_path(self):
+        # the per-UE receiver and the oracles are the reference the fast path is checked against;
+        # a run and its CLI never read them
+        assert fresh_interpreter_output(
+            "import sys, cfris, cfris.cli; "
+            "print(sorted(m for m in ('cfris.receiver', 'cfris.oracles') if m in sys.modules))") == "[]"
 
     def test_runtime_imports_no_scipy(self):
         # scipy is a test dependency only: the package, its CLI and the oracles run without it
-        code = "import sys, cfris, cfris.cli, cfris.oracles; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-3000:]
-        assert proc.stdout.strip() == "[]"
+        assert fresh_interpreter_output(
+            "import sys, cfris, cfris.cli, cfris.oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+    def test_package_exports_only_the_run_and_report_api(self):
+        # every other name has one import path, its module
+        public = {name for name in dir(cfris) if not name.startswith("_")
+                  and not isinstance(getattr(cfris, name), types.ModuleType)}
+        assert public == {"SimConfig", "load_config", "CfrisError", "ConfigError", "DimensionError", "ModelError",
+                          "SCENARIOS", "ExperimentSpec", "SeReport", "run_experiment", "emit_report", "load_report"}
+        with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as f:
+            quick_start = f.read().split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        imports = [line for line in quick_start.splitlines() if line.startswith("from cfris import")]
+        assert len(imports) == 1
+        exec(imports[0], {})
+
+
+def fresh_interpreter_output(code):
+    """Stripped stdout of code run in a new interpreter that imports this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return proc.stdout.strip()
 
 
 def test_benchmark_smoke_suite_passes():
