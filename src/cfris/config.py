@@ -96,6 +96,10 @@ class SimConfig:
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
+        if not math.isfinite(self.wavelength_m):
+            raise ConfigError("carrier_frequency_hz", "wavelength must be finite")
+        if not math.isfinite(self.element_spacing * self.wavelength_m):
+            raise ConfigError("element_spacing", "element spacing in metres must be finite")
         for name in _NON_NEGATIVE_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be non-negative")

@@ -16,9 +16,5 @@ class ConfigError(CfrisError):
         return f"{self.field}: {self.args[1]}"
 
 
-class DimensionError(CfrisError):
-    """Matrix/vector dimensions do not match the operation's contract."""
-
-
 class ModelError(CfrisError):
     """A statistical model assumption is violated (e.g. non-PSD covariance)."""

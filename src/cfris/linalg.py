@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .exceptions import DimensionError, ModelError
+from .exceptions import ModelError
 
 PSD_TOL = 1e-10         # relative (to trace) tolerance on negative eigenvalues
 TRIL_LEAF = 9           # largest lower triangle tril_inv hands to np.linalg.inv whole
@@ -78,8 +78,6 @@ def hermitian_eig(a):
     """Eigenvalues, descending and real, and the orthonormal eigenvectors as columns of a
     Hermitian matrix (symmetrized internally)."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     a = 0.5 * (a + a.conj().T)
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]

@@ -310,46 +310,33 @@ def check_estimate_moments(rng):
     return "estimator bank moments within 3% of the reference cross-covariances", worst <= 0.03, f"max rel dev {worst:.3f}"
 
 
-def correlation_build_error(real, cfg, element_positions):
-    """Largest relative Frobenius deviation of the batched correlation build from the per-pair one."""
+def correlation_build_error(real, cfg, element_positions, fronts=None):
+    """Largest relative Frobenius deviation of the batched correlation build from the per-pair one:
+    of each gathered R_kl and, given fronts E (L, m, n) on these elements, of the stack's E_l R_kl E_l^H
+    from effective_covariance of the per-pair build."""
     batched = spatial_correlation_matrices(real, cfg, element_positions)
+    Q = None if fronts is None else batched.effective_covariances(fronts)
     worst = 0.0
     for k, l in np.ndindex(real.beta.shape):
         reference = build_spatial_correlation(
             real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, element_positions)
-        worst = max(worst, np.linalg.norm(batched[k, l] - reference) / np.linalg.norm(reference))
+        pairs = [(batched[k, l], reference)]
+        if fronts is not None:
+            pairs.append((Q[k, l], effective_covariance(reference, fronts[l])))
+        worst = max(worst, *(np.linalg.norm(got - want) / np.linalg.norm(want) for got, want in pairs))
     return worst
 
 
 def check_correlation_build_equivalence(rng):
-    """Batched correlation build equals the per-pair reference on a random drop, for the RIS grid
-    and for a planar AP array."""
+    """Batched correlation build equals the per-pair reference on a random drop: R for a planar AP
+    array, and R and E R E^H off the per-AP offset basis for the RIS grid on random phases."""
     cfg = SimConfig(L=6, K=5, M=6, array_geometry="planar")
     real = generate_realization(cfg, rng)
-    worst = max(correlation_build_error(real, cfg, elements)
-                for elements in (ris_grid_positions(cfg), active_array_positions(cfg)))
+    fronts = effective_front(build_ap_ris_channels(cfg, [rng] * cfg.L),
+                             np.exp(2j * np.pi * rng.uniform(size=(cfg.L, cfg.N))))
+    worst = max(correlation_build_error(real, cfg, active_array_positions(cfg)),
+                correlation_build_error(real, cfg, ris_grid_positions(cfg), fronts))
     return "correlation build reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
-
-
-def lattice_covariance_error(real, cfg, rng):
-    """Largest relative deviation of the lattice stack's E R E^H, on fronts and random phases drawn
-    from rng, from effective_covariance of the per-pair correlation build."""
-    elements, fronts = ris_grid_positions(cfg), build_ap_ris_channels(cfg, [rng] * cfg.L)
-    E = effective_front(fronts, np.exp(2j * np.pi * rng.uniform(size=(cfg.L, cfg.N))))
-    Q = spatial_correlation_matrices(real, cfg, elements).effective_covariances(E)
-    worst = 0.0
-    for k, l in np.ndindex(real.beta.shape):
-        reference = effective_covariance(build_spatial_correlation(
-            real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, elements), E[l])
-        worst = max(worst, np.linalg.norm(Q[k, l] - reference) / np.linalg.norm(reference))
-    return worst
-
-
-def check_lattice_effective_covariance(rng):
-    """The lattice stack's E R E^H off its per-AP offset basis equals the per-pair one on random phases."""
-    cfg = SimConfig(L=6, K=5)
-    worst = lattice_covariance_error(generate_realization(cfg, rng), cfg, rng)
-    return "lattice effective covariance reference equivalence", worst <= 1e-12, f"max rel err {worst:.2e}"
 
 
 def phase_bound_ratios(cfg, drops, rng, draws):
@@ -394,7 +381,6 @@ ALL_CHECKS = (
     check_fast_path_equivalence,
     check_correlation_build_equivalence,
     check_estimate_moments,
-    check_lattice_effective_covariance,
     check_phase_optimizer_bound,
 )
 

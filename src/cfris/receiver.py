@@ -10,8 +10,6 @@ vector as the full-dimensional formula. The SINR has one direct form.
 
 import numpy as np
 
-from .exceptions import DimensionError
-
 
 def _restricted_outer_sum(k, ghat, F, assoc, eta, sigma2, partners):
     idx = np.flatnonzero(assoc.serving_matrix[:, k])
@@ -50,11 +48,8 @@ def instantaneous_sinr(k, v, ghat, F, assoc, cfg):
     """Effective SINR of UE k for a combiner v of shape (L*m,), on k's serving APs. The interference
     sums the other UEs' powers over i != k: total power minus signal would cancel at high SINR."""
     L, m = ghat.shape[1:]
-    v = np.asarray(v, dtype=complex)
-    if v.shape[0] != L * m:
-        raise DimensionError(f"combiner length {v.shape[0]} is not L*m={L * m}")
     idx = np.flatnonzero(assoc.serving_matrix[:, k])
-    vs = v.reshape(L, m)[idx]
+    vs = np.asarray(v, dtype=complex).reshape(L, m)[idx]
     eta = cfg.data_power_w
     power = eta * np.abs(np.einsum("lm,ilm->i", vs.conj(), ghat[:, idx])) ** 2
     interference = np.delete(power, k).sum()

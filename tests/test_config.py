@@ -57,6 +57,7 @@ class TestValidation:
             ("ap_height_m", float("-inf")),
             ("ap_height_m", -5.0),
             ("carrier_frequency_hz", 0.0),
+            ("carrier_frequency_hz", 1e-300),   # the wavelength overflows
             ("element_spacing", 0.0),
             ("shadowing_decorrelation_m", 0.0),
             ("min_distance_m", 0.0),
@@ -78,6 +79,11 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert field in str(err.value)
+
+    def test_overflowing_lattice_pitch_names_element_spacing(self):
+        # each field is finite, the wavelength too, and their product is not
+        with pytest.raises(ConfigError, match="element_spacing"):
+            SimConfig(carrier_frequency_hz=1e-290, element_spacing=1e300).validate()
 
     def test_int_valid_for_float_field(self):
         SimConfig(area_side_m=500, pilot_power_mw=100, noise_power_dbm=-94).validate()

@@ -21,4 +21,4 @@ def test_round_trips_through_pickle(cls):
 
 
 def test_classes_are_found():
-    assert {"CfrisError", "ConfigError", "DimensionError", "ModelError"} <= {cls.__name__ for cls in CLASSES}
+    assert {"CfrisError", "ConfigError", "ModelError"} <= {cls.__name__ for cls in CLASSES}

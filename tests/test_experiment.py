@@ -628,6 +628,13 @@ class TestCli:
         assert code == 2
         assert "tau_p" in capsys.readouterr().err
 
+    def test_run_with_overflowing_wavelength_exits_with_status_2(self, tmp_path, capsys):
+        path = tmp_path / "far.cfg"
+        path.write_text("carrier_frequency_hz = 1e-300\n")
+        code = cli_main(["run", "--config", str(path), "--setups", "1", "--blocks", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: carrier_frequency_hz")
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["validate", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
@@ -663,7 +670,7 @@ class TestCli:
         # every other name has one import path, its module
         public = {name for name in dir(cfris) if not name.startswith("_")
                   and not isinstance(getattr(cfris, name), types.ModuleType)}
-        assert public == {"SimConfig", "load_config", "CfrisError", "ConfigError", "DimensionError", "ModelError",
+        assert public == {"SimConfig", "load_config", "CfrisError", "ConfigError", "ModelError",
                           "SCENARIOS", "ExperimentSpec", "SeReport", "run_experiment", "emit_report", "load_report"}
         with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as f:
             quick_start = f.read().split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]

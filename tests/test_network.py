@@ -3,7 +3,9 @@ import pytest
 
 from cfris.association import assign_pilots_and_clusters
 from cfris.config import SimConfig
+from cfris.estimation import effective_front
 from cfris.network import (
+    LatticeCorrelation,
     NetworkRealization,
     _gauss_hermite_nodes,
     active_array_positions,
@@ -15,7 +17,7 @@ from cfris.network import (
     ris_grid_positions,
     spatial_correlation_matrices,
 )
-from cfris.oracles import correlation_build_error, lattice_covariance_error
+from cfris.oracles import check_correlation_build_equivalence, correlation_build_error
 
 
 def small_cfg(**kw):
@@ -249,13 +251,25 @@ class TestSpatialCorrelation:
         dict(angular_spread_deg=0.0),
     ], ids=["6x6", "4x9", "1x5", "2x2", "M=1", "angular_spread_deg=0.0"])
     def test_lattice_effective_covariances_match_per_pair_reference(self, sizes):
-        # E R E^H off the per-AP offset basis, on random phases, against the per-pair build and product
+        # the gathered R and E R E^H off the per-AP offset basis, on random phases, against the
+        # per-pair build and product
         cfg = SimConfig(**{"L": 5, "K": 4, **sizes})
         rng = np.random.default_rng(11)
         real = generate_realization(cfg, rng)
         real.ue_positions[0] = real.ap_positions[0] + [0.3, -0.4]
         real.ue_positions[1] = real.ap_positions[1]
-        assert lattice_covariance_error(real, cfg, rng) <= 1e-12
+        fronts = effective_front(build_ap_ris_channels(cfg, [rng] * cfg.L),
+                                 np.exp(2j * np.pi * rng.uniform(size=(cfg.L, cfg.N))))
+        assert correlation_build_error(real, cfg, ris_grid_positions(cfg), fronts) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["effective_covariances", "__getitem__"])
+    def test_oracle_check_catches_a_skew_in_either_half(self, monkeypatch, method):
+        # the oracle's line passes on the build as it is, and fails once the lattice stack's Q or its
+        # gathered R is off by a relative 1e-9
+        assert check_correlation_build_equivalence(np.random.default_rng(4))[1]
+        built = getattr(LatticeCorrelation, method)
+        monkeypatch.setattr(LatticeCorrelation, method, lambda self, arg: built(self, arg) * (1 + 1e-9))
+        assert not check_correlation_build_equivalence(np.random.default_rng(4))[1]
 
     def test_lattice_stack_gathers_like_an_array(self):
         # R[k, l], a (K, L) slice and np.asarray all gather the same matrices; Q comes out

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from cfris.association import Association
 from cfris.config import SimConfig
-from cfris.exceptions import DimensionError
 from cfris.oracles import _random_receiver_instance as random_instance
 from cfris.receiver import (
     instantaneous_sinr,
@@ -51,7 +50,7 @@ class TestSinrForms:
         rng = np.random.default_rng(2)
         cfg = small_cfg()
         ghat, F, assoc = random_instance(rng, cfg, SERVING)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError):   # numpy's reshape to (L, m)
             instantaneous_sinr(0, np.ones(5, dtype=complex), ghat, F, assoc, cfg)
 
 
