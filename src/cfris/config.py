@@ -6,9 +6,10 @@ All keys carry explicit units in their names (``noise_power_dbm``,
 
 import math
 import numbers
-from dataclasses import dataclass, fields, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 from .exceptions import ConfigError
+from .network import active_array_positions, ris_grid_positions
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -108,6 +109,16 @@ class SimConfig:
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(name, f"must be one of {choices}")
+        # network.los_matrix squares the antenna-element offsets: the box depth, and across the planes at
+        # most `reach`, between opposite corners of the two centred lattices
+        unit = replace(self, carrier_frequency_hz=SPEED_OF_LIGHT, element_spacing=1.0)   # a 1 m pitch
+        corner = active_array_positions(unit)[:, 1:].max(axis=0) + ris_grid_positions(unit)[:, 1:].max(axis=0)
+        reach_per_spacing = self.wavelength_m * math.hypot(*corner)
+        reach = self.element_spacing * reach_per_spacing
+        if not math.isfinite(self.box_depth_m * self.box_depth_m + reach * reach):
+            name = ("box_depth_m" if self.box_depth_m >= reach else "element_spacing"
+                    if math.isfinite(reach_per_spacing * reach_per_spacing) else "carrier_frequency_hz")
+            raise ConfigError(name, "antenna-element distances must stay finite when squared")
         return self
 
     def as_dict(self):

@@ -153,10 +153,10 @@ class EffectiveStats:
         Per AP l one batched gemm, T[:, l] @ w[:, t(k), l] with the blocks as
         the columns (K products of m x m by m x blocks), is written back over
         its operand, the pilot-gathered draws w[:, t(k)], and ghat is that
-        buffer transposed. With pilots in UE order (K <= tau_p) the gather is
-        w itself, which is then overwritten; otherwise it is a copy.
+        buffer transposed, each block's (K, L, m) contiguous. With pilots in UE order (K <= tau_p) the
+        gather is w itself, which is then overwritten; otherwise it is np.take's C-ordered copy.
         """
-        g = w[:, self._pilots]                         # (blocks, K, L, m)
+        g = w[:, self._pilots] if isinstance(self._pilots, slice) else np.take(w, self._pilots, axis=1)
         for l in range(self.L):
             x = g[:, :, l].transpose(1, 2, 0)          # (K, m, blocks)
             x[...] = self.T[:, l] @ x

@@ -121,7 +121,7 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     eps_k being the non-partners' power plus v^H Delta v (Delta = eta sum F_i
     over them): (P y)_i = (C^-1 sqrt(eta) ghat_i)^H u with u = W y = C^H v, so
     non-partner i's power is |(P y)_i|^2, and u is formed only for u^H D u, D
-    = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p) writes W over the
+    = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p, or L = 1) writes W over the
     estimates' memory, any other group into one fresh array.
     """
     if n_blocks is None:
@@ -166,7 +166,7 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
     ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
     for idx, mask, others, c_inv, delta_w, members in plan:
         # W = sqrt(eta) C^-1 ghat on the serving APs for all K UEs, (b, d, K), block by block, over the estimates'
-        # memory in a lone group on every AP, their only reader (a view if each block is contiguous, else a copy)
+        # memory in a lone group on every AP, their only reader (a view: each block's estimates are contiguous)
         w = (ghat.transpose(0, 3, 1, 2).reshape(b, -1).reshape(b, -1, K) if len(plan) == 1 and isinstance(idx, slice)
              else np.empty((b, c_inv.shape[0] * m, K), complex))
         for i in range(b):

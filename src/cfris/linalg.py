@@ -38,11 +38,11 @@ def tril_inv(a):
 
 
 def hermitian_gram(w):
-    """w^H w for a stack (..., d, p) of complex w, from the real Gram Z^T Z of Z = w viewed as
-    reals, (..., d, 2p). numpy forms Z^T Z as one symmetric rank-k update, so it is exactly
-    symmetric and w^H w exactly Hermitian, at half a complex product's flops and with no conj copy.
+    """w^H w for a stack (..., d, p) of complex w whose last axis is contiguous (else numpy raises ValueError),
+    from the real Gram Z^T Z of Z = w viewed in place as reals, (..., d, 2p): no copy of w. numpy forms Z^T Z as
+    one symmetric rank-k update, so w^H w is exactly Hermitian, at half a complex product's flops.
     """
-    z = np.ascontiguousarray(w).view(float)
+    z = w.view(float)
     g = z.swapaxes(-1, -2) @ z
     out = np.empty(w.shape[:-2] + (w.shape[-1], w.shape[-1]), complex)
     out.real = g[..., 0::2, 0::2] + g[..., 1::2, 1::2]

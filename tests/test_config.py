@@ -58,6 +58,9 @@ class TestValidation:
             ("ap_height_m", -5.0),
             ("carrier_frequency_hz", 0.0),
             ("carrier_frequency_hz", 1e-300),   # the wavelength overflows
+            ("carrier_frequency_hz", 1e-299),   # the squared antenna-element distances overflow
+            ("element_spacing", 1e300),
+            ("box_depth_m", 1e300),
             ("element_spacing", 0.0),
             ("shadowing_decorrelation_m", 0.0),
             ("min_distance_m", 0.0),

@@ -344,13 +344,15 @@ class TestEffectiveStats:
             assert np.linalg.norm(ghat[b, l, :, k] - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_estimates_leave_shared_pilot_draws_untouched(self):
-        # pilots [0, 1, 0] are gathered into a copy, and the estimates are formed over that copy
+        # pilots [0, 1, 0] are gathered into a C-ordered copy, (blocks, K, L, m), and the
+        # estimates are formed over that copy
         stats, *_ = self.build()
         w = stats.sample_pilot_statistics(np.random.default_rng(20), 3)
         before = w.copy()
         ghat = stats.effective_estimates(w)
         assert np.array_equal(w, before)
         assert not np.shares_memory(ghat, w)
+        assert ghat.transpose(0, 3, 1, 2).flags.c_contiguous
 
     def test_sampling_holds_little_beside_its_output(self):
         # real and imaginary parts are drawn through one small reused buffer, not a whole-shape

@@ -414,12 +414,14 @@ class TestSeKernel:
             tracemalloc.stop()
         return peak / (blocks * stats.L * stats.m * stats.K * 16)
 
-    def test_one_group_chunk_holds_few_estimate_sized_arrays(self):
+    @pytest.mark.parametrize("K", [4, 3])
+    def test_one_group_chunk_holds_few_estimate_sized_arrays(self, K):
         # the chunk's draws are drawn through a small buffer, the estimates formed over the draws
         # AP by AP and whitened over the estimates block by block, so one estimate-sized array
         # holds the draws, the estimates and W = C^-1 G in turn, and the array peak stays under
-        # 1.75 chunks of estimates
-        cfg = SimConfig(L=8, K=4, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
+        # 1.75 chunks of estimates; with K < tau_p W keeps the unused pilot slots between blocks,
+        # and its Gram reads it in place
+        cfg = SimConfig(L=8, K=K, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
         rng = np.random.default_rng(0)
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
         r, assoc, _ = _equivalence_drop(rng, cfg, beta)

@@ -147,11 +147,15 @@ class TestHermitianGram:
         assert np.all(diag.imag == 0) and np.all(diag.real >= 0)
 
     def test_non_contiguous_input(self):
-        # a column gather and a transposed view leave the last axis strided; both read as their copy
+        # batch- and row-strided views with a contiguous last axis are read in place, as their copy;
+        # a strided last axis is numpy's ValueError, not a silent copy
         w = self.stack((4, 30, 9))
-        for view in (w[:, ::2, [0, 3, 4, 8]], w[:, 1::3, ::2], self.stack((4, 5, 30)).swapaxes(-1, -2)):
+        for view in (w[::2], w[:, 1::3], w[1:, ::2, 2:7]):
             assert not view.flags.c_contiguous
             assert np.array_equal(hermitian_gram(view), hermitian_gram(view.copy()))
+        for view in (w[:, :, ::2], self.stack((4, 5, 30)).swapaxes(-1, -2)):
+            with pytest.raises(ValueError):
+                hermitian_gram(view)
 
 
 def openblas_thread_counts():

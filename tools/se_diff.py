@@ -44,6 +44,8 @@ CONFIGS = {
     # K > tau_p on the crowded geometry: many UE groups with non-partners, up to m = 36 per AP block
     "crowded-no-ris": (dict(L=100, K=20, M=4, N=36, tau_p=10, mc_setups=1, mc_channel_realizations=8),
                        ("no_ris_small", "no_ris_large"), "pmmse"),
+    # one AP, so one UE group that shares pilots: its W is written over the gathered copy of the draws
+    "lone-shared-pilots": (dict(L=1, K=4, tau_p=2, mc_setups=2, mc_channel_realizations=40), _ALL, "pmmse"),
 }
 SEEDS = (1, 2, 3)
 THREADS = (1, 2)
