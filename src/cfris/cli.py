@@ -2,6 +2,7 @@
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from .config import load_config
 from .exceptions import CfrisError
@@ -59,7 +60,7 @@ def main(argv=None):
         if args.command == "validate":
             cfg = _load(args)
             print("configuration ok")
-            for key, value in cfg.as_dict().items():
+            for key, value in asdict(cfg).items():
                 print(f"  {key} = {value}")
             return 0
         if args.command == "oracle":

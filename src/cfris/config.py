@@ -6,7 +6,7 @@ All keys carry explicit units in their names (``noise_power_dbm``,
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .exceptions import ConfigError
 from .network import active_array_positions, ris_grid_positions
@@ -115,14 +115,19 @@ class SimConfig:
         corner = active_array_positions(unit)[:, 1:].max(axis=0) + ris_grid_positions(unit)[:, 1:].max(axis=0)
         reach_per_spacing = self.wavelength_m * math.hypot(*corner)
         reach = self.element_spacing * reach_per_spacing
-        if not math.isfinite(self.box_depth_m * self.box_depth_m + reach * reach):
+        depth_sq = self.box_depth_m * self.box_depth_m
+        farthest_sq = depth_sq + reach * reach
+        if not math.isfinite(farthest_sq):
             name = ("box_depth_m" if self.box_depth_m >= reach else "element_spacing"
                     if math.isfinite(reach_per_spacing * reach_per_spacing) else "carrier_frequency_hz")
             raise ConfigError(name, "antenna-element distances must stay finite when squared")
+        if not depth_sq > 0:   # else an element in line with an antenna lies at distance 0
+            raise ConfigError("box_depth_m", "must stay positive when squared")
+        # the LOS amplitude lambda / (4 pi d) at the farthest pair; its square rounding to 0 zeroes every column norm
+        amplitude = self.wavelength_m / (4.0 * math.pi * math.sqrt(farthest_sq))
+        if not amplitude * amplitude > 0:
+            raise ConfigError("carrier_frequency_hz", "the farthest LOS amplitude must stay positive when squared")
         return self
-
-    def as_dict(self):
-        return asdict(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}

@@ -12,12 +12,12 @@ import csv
 import numbers
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .association import assign_pilots_and_clusters
-from .config import parse_config_text
+from .config import load_config
 from .estimation import EffectiveStats, effective_front
 from .exceptions import CfrisError, ConfigError, ModelError
 from .linalg import hermitian_gram, one_blas_thread, tril_inv
@@ -60,6 +60,8 @@ class ExperimentSpec:
 
     def validate(self):
         self.cfg.validate()
+        if not self.scenarios:
+            raise ConfigError("scenarios", "a run needs at least one scenario")
         for name in self.scenarios:
             if name not in _SCENARIO_TABLE:
                 raise ConfigError("scenarios", f"unknown scenario {name!r}")
@@ -78,7 +80,7 @@ class ExperimentSpec:
 class SeReport:
     scenarios: list
     se: dict            # scenario -> (mc_setups, K) per-UE SE, bit/s/Hz
-    config: dict = field(default_factory=dict)
+    config: object = None   # the run's SimConfig
 
     def samples(self, scenario):
         return self.se[scenario].reshape(-1)
@@ -129,10 +131,7 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     K, m, eta, sigma2 = stats.K, stats.m, cfg.data_power_w, cfg.noise_power_w
 
     def f_sum(ues, idx):   # sum of F[i, idx] over ues, one term at a time in the order .sum(axis=0) adds them
-        total = stats.F[ues[0]].take(idx, axis=0)
-        for i in ues[1:]:
-            total += stats.F[i].take(idx, axis=0)
-        return total
+        return sum((stats.F[i].take(idx, axis=0) for i in ues[1:]), stats.F[ues[0]].take(idx, axis=0))
     groups = {}
     for k, serving in enumerate(assoc.serving_sets):
         groups.setdefault(tuple(serving), []).append(k)
@@ -202,10 +201,13 @@ def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
             psi = select_long_term_config(ChannelStats(r, fronts), assoc, cfg, mode=mode,
                                           rng=_rng(cfg.seed, _TAG_PHASES, setup_idx, scen_id))
             front = effective_front(fronts, psi)
-        stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
-        del r
-        rng_blocks = _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id)
-        out[j] = block_batched_se(stats, assoc, cfg, rng_blocks, combiner=combiner)
+        try:
+            stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
+            del r
+            out[j] = block_batched_se(stats, assoc, cfg, _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id),
+                                      combiner=combiner)
+        except np.linalg.LinAlgError as exc:   # a singular matrix, from the drop's values
+            raise ModelError(f"setup {setup_idx}, scenario {name}: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(out[j]))
         if bad.size:
             raise ModelError(f"setup {setup_idx}, scenario {name}: non-finite SE for UE {bad[0]}")
@@ -222,7 +224,7 @@ def run_experiment(spec):
     workers = min(spec.threads, cfg.mc_setups, cpus)
     with one_blas_thread():
         se = _run_setups((cfg, scenarios, spec.combiner, fronts), cfg.mc_setups, workers)
-    return SeReport(scenarios, dict(zip(scenarios, np.stack(se, axis=1))), cfg.as_dict())
+    return SeReport(scenarios, dict(zip(scenarios, np.stack(se, axis=1))), cfg)
 
 
 def _run_setups(job, n, workers):
@@ -268,50 +270,47 @@ def emit_report(report, out_dir):
 
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in report.config.items():
+        for key, value in asdict(report.config).items():
             handle.write(f"{key} = {value}\n")
     paths.append(manifest_path)
 
-    if report.scenarios:
-        data_path = os.path.join(out_dir, "se_samples.csv")
-        with open(data_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["scenario", "realization", "ue", "se"])
-            for name in report.scenarios:
-                values = report.se[name]
-                for setup in range(values.shape[0]):
-                    for ue in range(values.shape[1]):
-                        writer.writerow([name, setup, ue, repr(float(values[setup, ue]))])
-        paths.append(data_path)
-
+    data_path = os.path.join(out_dir, "se_samples.csv")
+    with open(data_path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["scenario", "realization", "ue", "se"])
         for name in report.scenarios:
-            cdf_path = os.path.join(out_dir, f"cdf_{name}.csv")
-            values, probs = report.cdf(name)
-            with open(cdf_path, "w", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["se", "cdf"])
-                for value, prob in zip(values, probs):
-                    writer.writerow([repr(float(value)), repr(float(prob))])
-            paths.append(cdf_path)
+            values = report.se[name]
+            for setup in range(values.shape[0]):
+                for ue in range(values.shape[1]):
+                    writer.writerow([name, setup, ue, repr(float(values[setup, ue]))])
+    paths.append(data_path)
+
+    for name in report.scenarios:
+        cdf_path = os.path.join(out_dir, f"cdf_{name}.csv")
+        values, probs = report.cdf(name)
+        with open(cdf_path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["se", "cdf"])
+            for value, prob in zip(values, probs):
+                writer.writerow([repr(float(value)), repr(float(prob))])
+        paths.append(cdf_path)
     return paths
 
 
 def load_report(out_dir):
     """Rebuild a SeReport from an emitted output directory.
 
-    The manifest is a config file, so ``config`` holds typed values; the
-    scenarios are those of ``se_samples.csv`` in order of first appearance.
-    Unless each scenario's (realization, ue) cells cover its grid exactly
-    once, CfrisError names the scenario and the first missing or repeated
-    cell; a row with a missing or unparsable field raises CfrisError naming
-    its line and scenario.
+    ``config`` is the manifest read by load_config, so it is validated, and
+    it fixes every scenario's grid at (mc_setups, K); the scenarios are
+    those of ``se_samples.csv`` in order of first appearance. A row with a
+    missing or unparsable field, or off the grid, raises CfrisError naming
+    its line and scenario; unless each scenario's (realization, ue) cells
+    cover the grid exactly once, CfrisError names the scenario and the
+    first missing or repeated cell.
     """
-    with open(os.path.join(out_dir, "manifest.txt"), "r", encoding="utf-8") as handle:
-        config = parse_config_text(handle.read())
+    config = load_config(os.path.join(out_dir, "manifest.txt"))
+    setups, ues = config.mc_setups, config.K
     data_path = os.path.join(out_dir, "se_samples.csv")
-    if not os.path.exists(data_path):
-        return SeReport(scenarios=[], se={}, config=config)
-
     rows = {}
     with open(data_path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -321,19 +320,18 @@ def load_report(out_dir):
             except (KeyError, TypeError, ValueError) as exc:
                 raise CfrisError(f"{data_path}: row {reader.line_num}, scenario {row.get('scenario')}: "
                                  f"malformed sample ({exc!r})") from exc
+            if not (0 <= entry[0] < setups and 0 <= entry[1] < ues):
+                raise CfrisError(f"{data_path}: row {reader.line_num}, scenario {name}: realization {entry[0]}, "
+                                 f"ue {entry[1]} lies off the manifest's {setups} x {ues} grid")
             rows.setdefault(name, []).append(entry)
     se = {}
     for name, entries in rows.items():
         setup, ue, value = zip(*entries)
-        if min(setup) < 0 or min(ue) < 0:
-            raise CfrisError(f"{data_path}: scenario {name} has a negative realization or ue index")
-        shape, count = (1 + max(setup), 1 + max(ue)), Counter(zip(setup, ue))
-        # a grid of more cells than rows misses one among the first len(entries) + 1, so no more are read
-        cells = (divmod(i, shape[1]) for i in range(min(shape[0] * shape[1], len(entries) + 1)))
-        cell = next((c for c in cells if count[c] != 1), None)
+        count = Counter(zip(setup, ue))
+        cell = next((c for c in (divmod(i, ues) for i in range(setups * ues)) if count[c] != 1), None)
         if cell is not None:
             raise CfrisError(f"{data_path}: scenario {name}: realization {cell[0]}, ue {cell[1]} is "
                              f"{'missing' if count[cell] == 0 else 'repeated'}")
-        se[name] = np.empty(shape)
+        se[name] = np.empty((setups, ues))
         se[name][setup, ue] = value
     return SeReport(scenarios=list(rows), se=se, config=config)

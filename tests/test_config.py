@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,7 @@ class TestValidation:
             ("carrier_frequency_hz", 0.0),
             ("carrier_frequency_hz", 1e-300),   # the wavelength overflows
             ("carrier_frequency_hz", 1e-299),   # the squared antenna-element distances overflow
+            ("carrier_frequency_hz", 1e300),    # the squared LOS amplitudes underflow to 0
             ("element_spacing", 1e300),
             ("box_depth_m", 1e300),
             ("element_spacing", 0.0),
@@ -87,6 +90,11 @@ class TestValidation:
         # each field is finite, the wavelength too, and their product is not
         with pytest.raises(ConfigError, match="element_spacing"):
             SimConfig(carrier_frequency_hz=1e-290, element_spacing=1e300).validate()
+
+    def test_underflowing_box_depth_named(self):
+        # one antenna faces the 3 x 3 grid's centre element, so their distance squares to 0
+        with pytest.raises(ConfigError, match="box_depth_m"):
+            SimConfig(M=1, N=9, ris_rows=3, ris_cols=3, box_depth_m=1e-200).validate()
 
     def test_int_valid_for_float_field(self):
         SimConfig(area_side_m=500, pilot_power_mw=100, noise_power_dbm=-94).validate()
@@ -176,4 +184,4 @@ class TestLoadConfig:
 
     def test_round_trip_dict(self):
         cfg = SimConfig(L=3, K=2, tau_p=2, N=4, ris_rows=2, ris_cols=2, M=2)
-        assert SimConfig(**cfg.as_dict()) == cfg
+        assert SimConfig(**asdict(cfg)) == cfg

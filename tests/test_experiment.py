@@ -64,6 +64,11 @@ class TestSpec:
             ExperimentSpec(cfg=tiny_cfg(), scenarios=("no_ris_small", "no_ris_small")).validate()
         assert err.value.field == "scenarios"
 
+    def test_no_scenarios(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec(cfg=tiny_cfg(), scenarios=()).validate()
+        assert err.value.field == "scenarios"
+
     def test_unknown_combiner(self):
         with pytest.raises(ConfigError) as err:
             ExperimentSpec(cfg=tiny_cfg(), combiner="zf").validate()
@@ -504,25 +509,50 @@ class TestReportIo:
         report = run_experiment(ExperimentSpec(cfg=cfg, scenarios=("no_ris_small",)))
         emit_report(report, str(tmp_path / "out"))
         assert load_config(str(tmp_path / "out" / "manifest.txt")) == cfg
-        assert load_report(str(tmp_path / "out")).config == cfg.as_dict()
+        assert load_report(str(tmp_path / "out")).config == cfg
 
     @pytest.mark.parametrize("edit,problem", [
-        (lambda rows: rows[:5] + rows[6:], "realization 1, ue 1 is missing"),
-        (lambda rows: rows + rows[5:6], "realization 1, ue 1 is repeated"),
-        (lambda rows: rows[:5] + [rows[5].replace(",1,1,", ",-1,1,")] + rows[6:], "negative realization"),
-        # a grid of 1e13 x 3 cells: the first missing one is named without a count per cell
-        (lambda rows: rows + ["no_ris_small,10000000000000,0,1.5\n"], "realization 2, ue 0 is missing"),
-    ], ids=["row_removed", "row_repeated", "negative_index", "huge_realization"])
+        (lambda rows: rows[:5] + rows[6:], "scenario no_ris_small: realization 1, ue 1 is missing"),
+        (lambda rows: rows + rows[5:6], "scenario no_ris_small: realization 1, ue 1 is repeated"),
+        (lambda rows: rows[:5] + [rows[5].replace(",1,1,", ",-1,1,")] + rows[6:],
+         "row 6, scenario no_ris_small: realization -1, ue 1 lies off the manifest's 2 x 3 grid"),
+        (lambda rows: rows + ["no_ris_small,10000000000000,0,1.5\n"],
+         "row 8, scenario no_ris_small: realization 10000000000000, ue 0 lies off the manifest's 2 x 3 grid"),
+        # the rows span a smaller grid than the manifest's
+        (lambda rows: rows[:4], "scenario no_ris_small: realization 1, ue 0 is missing"),
+        (lambda rows: [row for row in rows if ",2," not in row], "scenario no_ris_small: realization 0, ue 2 is missing"),
+    ], ids=["row_removed", "row_repeated", "negative_index", "huge_realization", "last_realization_removed",
+            "last_ue_removed"])
     def test_samples_must_cover_the_grid_once(self, tmp_path, edit, problem):
         from cfris.experiment import SeReport
 
         se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
-        emit_report(SeReport(["no_ris_small"], se, tiny_cfg().as_dict()), str(tmp_path))
+        emit_report(SeReport(["no_ris_small"], se, tiny_cfg()), str(tmp_path))
         path = tmp_path / "se_samples.csv"
         rows = path.read_text().splitlines(keepends=True)   # header, then realization 0 ue 0..2, 1 0..2
         path.write_text("".join(edit(rows)))
-        with pytest.raises(CfrisError, match=f"scenario no_ris_small.*{problem}"):
+        with pytest.raises(CfrisError, match=problem):
             load_report(str(tmp_path))
+
+    def test_huge_manifest_grid_names_its_first_missing_cell(self, tmp_path):
+        from cfris.experiment import SeReport
+
+        emit_report(SeReport(["no_ris_small"], {"no_ris_small": np.arange(6.0).reshape(2, 3)},
+                             tiny_cfg(mc_setups=10**13)), str(tmp_path))
+        # a grid of 1e13 x 3 cells: the walk stops at the first missing one, so no cell is counted beyond it
+        with pytest.raises(CfrisError, match="scenario no_ris_small: realization 2, ue 0 is missing"):
+            load_report(str(tmp_path))
+
+    def test_invalid_manifest_named(self, tmp_path):
+        from cfris.experiment import SeReport
+
+        emit_report(SeReport(["no_ris_small"], {"no_ris_small": np.arange(6.0).reshape(2, 3)}, tiny_cfg()),
+                    str(tmp_path))
+        path = tmp_path / "manifest.txt"
+        path.write_text(path.read_text().replace("K = 3\n", "K = 0\n"))
+        with pytest.raises(ConfigError) as err:
+            load_report(str(tmp_path))
+        assert err.value.field == "K"
 
     @pytest.mark.parametrize("edit,problem", [
         (lambda rows: rows[:2] + [rows[2].replace(",0,1,", ",x,1,")] + rows[3:], "row 3, scenario no_ris_small"),
@@ -534,20 +564,11 @@ class TestReportIo:
         from cfris.experiment import SeReport
 
         se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
-        emit_report(SeReport(["no_ris_small"], se, tiny_cfg().as_dict()), str(tmp_path))
+        emit_report(SeReport(["no_ris_small"], se, tiny_cfg()), str(tmp_path))
         path = tmp_path / "se_samples.csv"
         path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
         with pytest.raises(CfrisError, match=f"se_samples.csv: {problem}: malformed sample"):
             load_report(str(tmp_path))
-
-    def test_empty_scenarios_manifest_only(self, tmp_path):
-        from cfris.experiment import SeReport
-
-        report = SeReport(scenarios=[], se={}, config=tiny_cfg().as_dict())
-        paths = emit_report(report, str(tmp_path / "out"))
-        assert [os.path.basename(p) for p in paths] == ["manifest.txt"]
-        loaded = load_report(str(tmp_path / "out"))
-        assert loaded.scenarios == []
 
 
 class TestCli:
@@ -586,7 +607,7 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "cdf_no_ris_small.csv"))
         report = load_report(out)
         assert report.scenarios == ["no_ris_small", "ris_random"]
-        assert report.config["seed"] == 5
+        assert report.config.seed == 5
 
     def test_run_matches_library(self, tmp_path):
         out = str(tmp_path / "results")
@@ -636,6 +657,16 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--setups", "1", "--blocks", "1", "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: carrier_frequency_hz")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the shadowing overflows numpy on its way
+    def test_run_with_singular_drop_exits_with_status_2(self, tmp_path, capsys):
+        path = tmp_path / "shadowed.cfg"
+        path.write_text("L = 3\nK = 4\nM = 2\nN = 4\nris_rows = 2\nris_cols = 2\ntau_p = 2\nshadowing_std_db = 1e6\n")
+        code = cli_main(["run", "--config", str(path), "--setups", "1", "--blocks", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: setup 0, scenario")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(["validate", "--config", str(tmp_path / "absent.cfg")])

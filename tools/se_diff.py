@@ -9,9 +9,10 @@ tree's ``src``, for every config of ``CONFIGS`` at seeds 1-3 and threads 1
 and 2. For each config and scenario the summary prints ``identical`` when
 every SE of the threads=1 runs equals the revision's bit for bit, and
 otherwise the largest relative SE move with its seed, setup and UE. Per
-config it also says whether threads 1 and 2 wrote identical files in each
-tree. The exit status is 1 when any SE moved or a tree's threads 1 and 2
-files differ, else 0.
+config it also says whether the two trees' threads=1 runs wrote identical
+files (the manifest and CDFs as well as the samples), and whether threads 1
+and 2 wrote identical files in each tree. The exit status is 1 when any SE
+moved or any of those files differ, else 0.
 
 Standard library only.
 """
@@ -114,8 +115,8 @@ def same_files(a, b):
 
 
 def summarize(base_root, new_root, configs=CONFIGS, seeds=SEEDS):
-    """One block of lines per config: each scenario's SE move, then the threads 1 and 2 check; and the
-    exit status, 1 if any SE moved or any threads 1 and 2 files differ, else 0."""
+    """One block of lines per config: each scenario's SE move, the base and new files check, then the
+    threads 1 and 2 check; and the exit status, 1 if any SE moved or any of those files differ, else 0."""
     lines, status = [], 0
     for name, (sizes, scenarios, combiner) in configs.items():
         lines.append(f"{name} ({', '.join(f'{k}={v}' for k, v in sizes.items())}; {combiner}):")
@@ -125,6 +126,10 @@ def summarize(base_root, new_root, configs=CONFIGS, seeds=SEEDS):
             status |= move is not None
             lines.append(f"  {scenario:14s} " + ("identical" if move is None else
                          "largest relative SE move {:.1e} (seed {}, setup {}, UE {})".format(*move)))
+        same = all(same_files(*(os.path.join(root, run_dir(name, seed, 1)) for root in (base_root, new_root)))
+                   for seed in seeds)
+        status |= not same
+        lines.append(f"  base and new files (threads 1): {'identical' if same else 'DIFFERENT'}")
         verdicts = []
         for side, root in (("base", base_root), ("new", new_root)):
             same = all(same_files(*(os.path.join(root, run_dir(name, seed, t)) for t in THREADS)) for seed in seeds)
