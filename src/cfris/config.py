@@ -8,8 +8,10 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .exceptions import ConfigError
-from .network import active_array_positions, ris_grid_positions
+from .network import front_los
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -23,6 +25,8 @@ _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db",
 _AT_LEAST_ONE_FIELDS = ("K", "L", "M", "tau_p", "mc_setups", "mc_channel_realizations")
 _CHOICES = {"array_geometry": ("linear", "planar")}
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
+_GEOMETRY_FIELDS = ("element_spacing", "box_depth_m", "carrier_frequency_hz")
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -97,10 +101,6 @@ class SimConfig:
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0:
                 raise ConfigError(name, "must be positive")
-        if not math.isfinite(self.wavelength_m):
-            raise ConfigError("carrier_frequency_hz", "wavelength must be finite")
-        if not math.isfinite(self.element_spacing * self.wavelength_m):
-            raise ConfigError("element_spacing", "element spacing in metres must be finite")
         for name in _NON_NEGATIVE_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be non-negative")
@@ -109,25 +109,22 @@ class SimConfig:
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(name, f"must be one of {choices}")
-        # network.los_matrix squares the antenna-element offsets: the box depth, and across the planes at
-        # most `reach`, between opposite corners of the two centred lattices
-        unit = replace(self, carrier_frequency_hz=SPEED_OF_LIGHT, element_spacing=1.0)   # a 1 m pitch
-        corner = active_array_positions(unit)[:, 1:].max(axis=0) + ris_grid_positions(unit)[:, 1:].max(axis=0)
-        reach_per_spacing = self.wavelength_m * math.hypot(*corner)
-        reach = self.element_spacing * reach_per_spacing
-        depth_sq = self.box_depth_m * self.box_depth_m
-        farthest_sq = depth_sq + reach * reach
-        if not math.isfinite(farthest_sq):
-            name = ("box_depth_m" if self.box_depth_m >= reach else "element_spacing"
-                    if math.isfinite(reach_per_spacing * reach_per_spacing) else "carrier_frequency_hz")
-            raise ConfigError(name, "antenna-element distances must stay finite when squared")
-        if not depth_sq > 0:   # else an element in line with an antenna lies at distance 0
-            raise ConfigError("box_depth_m", "must stay positive when squared")
-        # the LOS amplitude lambda / (4 pi d) at the farthest pair; its square rounding to 0 zeroes every column norm
-        amplitude = self.wavelength_m / (4.0 * math.pi * math.sqrt(farthest_sq))
-        if not amplitude * amplitude > 0:
-            raise ConfigError("carrier_frequency_hz", "the farthest LOS amplitude must stay positive when squared")
+        if not _geometry_representable(self):   # name the first set field whose default passes, else the first set
+            given = [name for name in _GEOMETRY_FIELDS if getattr(self, name) != getattr(SimConfig, name)]
+            given = given or ["element_spacing"]
+            name = next((name for name in given
+                         if _geometry_representable(replace(self, **{name: getattr(SimConfig, name)}))), given[0])
+            raise ConfigError(name, "the lattice pitch and every LOS power must be normal floats")
         return self
+
+
+def _geometry_representable(cfg):
+    """Lattice pitch and every LOS power |front_los|^2 normal floats, each column's power sum finite: network divides
+    by the pitch to index the lattice, and a subnormal power loses digits in a front column's unit-norm scaling."""
+    with np.errstate(all="ignore"):   # numpy's overflow and underflow warnings would repeat the verdict
+        power = np.abs(front_los(cfg)) ** 2
+        return _TINY <= cfg.element_spacing * cfg.wavelength_m < math.inf and bool(
+            (power >= _TINY).all() and np.isfinite(power.sum(axis=0)).all())
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}

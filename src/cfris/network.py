@@ -262,6 +262,11 @@ def los_matrix(antenna_positions, element_positions, wavelength):
     return (wavelength / (4.0 * np.pi * d)) * np.exp(-2j * np.pi * d / wavelength)
 
 
+def front_los(cfg):
+    """(M, N) free-space LOS entries from each active antenna, box_depth_m in front of the RIS, to each element."""
+    return los_matrix(active_array_positions(cfg, x_offset=cfg.box_depth_m), ris_grid_positions(cfg), cfg.wavelength_m)
+
+
 def build_ap_ris_channels(cfg, rngs):
     """Fixed M x N front channels with unit-norm columns, one per rng; shape (len(rngs), M, N).
 
@@ -274,8 +279,7 @@ def build_ap_ris_channels(cfg, rngs):
     With M = 1 there is no orthogonal complement and every column is pure
     LOS.
     """
-    antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
-    los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
+    los = front_los(cfg)
     alpha = cfg.rician_los_fraction
     u_los = los / np.linalg.norm(los, axis=0, keepdims=True)
     if cfg.M == 1:

@@ -5,6 +5,7 @@ import pytest
 
 from cfris.config import SimConfig, load_config, parse_config_text
 from cfris.exceptions import ConfigError
+from cfris.experiment import ExperimentSpec, front_channels, run_experiment
 
 
 class TestDefaults:
@@ -95,6 +96,39 @@ class TestValidation:
         # one antenna faces the 3 x 3 grid's centre element, so their distance squares to 0
         with pytest.raises(ConfigError, match="box_depth_m"):
             SimConfig(M=1, N=9, ris_rows=3, ris_cols=3, box_depth_m=1e-200).validate()
+
+    def test_two_unrepresentable_fields_name_one_that_was_set(self):
+        # resetting either alone leaves an infinite wavelength or distance, so the first field set is named
+        with pytest.raises(ConfigError) as err:
+            SimConfig(carrier_frequency_hz=1e-300, box_depth_m=1e300).validate()
+        assert err.value.field == "box_depth_m"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_power_sum_rejected_without_warning(self):
+        # at a 1e-300 m pitch both antennas' LOS powers are about 1.4e308, finite, and their sum is not
+        spacing = 1e-300 / SimConfig().wavelength_m
+        cfg = SimConfig(M=2, N=4, ris_rows=2, ris_cols=2, box_depth_m=1e-156, element_spacing=spacing)
+        with pytest.raises(ConfigError, match="element_spacing"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("base", [dict(M=2, N=4, ris_rows=2, ris_cols=2), dict(M=1, N=9, ris_rows=3, ris_cols=3)],
+                             ids=["M2-2x2", "M1-3x3"])
+    @pytest.mark.parametrize("field,value", [
+        *(("carrier_frequency_hz", v) for v in (1e-300, 1e-299, 1e-145, 1e160, 1e162, 1e166, 1e168, 1e169, 1e300)),
+        *(("element_spacing", v) for v in (5e-324, 1e-300, 1e152, 1e300)),
+        *(("box_depth_m", v) for v in (5e-324, 1e-200, 1e-160, 1e-156, 1e154, 1e300)),
+    ])
+    def test_extreme_geometry_rejected_by_name_or_runs(self, base, field, value):
+        # either validate() names the field, or the front columns keep unit norm and every scenario gives finite SE
+        cfg = SimConfig(L=3, K=4, tau_p=2, mc_setups=1, mc_channel_realizations=2, **base, **{field: value})
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            assert err.field == field
+            return
+        assert np.abs(np.linalg.norm(front_channels(cfg), axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+        report = run_experiment(ExperimentSpec(cfg=cfg))   # all four scenarios
+        assert all(np.isfinite(se).all() for se in report.se.values())
 
     def test_int_valid_for_float_field(self):
         SimConfig(area_side_m=500, pilot_power_mw=100, noise_power_dbm=-94).validate()

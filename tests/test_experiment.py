@@ -651,12 +651,16 @@ class TestCli:
         assert code == 2
         assert "tau_p" in capsys.readouterr().err
 
-    def test_run_with_overflowing_wavelength_exits_with_status_2(self, tmp_path, capsys):
-        path = tmp_path / "far.cfg"
-        path.write_text("carrier_frequency_hz = 1e-300\n")
+    @pytest.mark.parametrize("field,value", [("carrier_frequency_hz", "1e-300"),   # the wavelength overflows
+                                             ("element_spacing", "5e-324")])       # the lattice pitch underflows
+    def test_run_with_unrepresentable_geometry_exits_with_status_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "geometry.cfg"
+        path.write_text(f"{field} = {value}\n")
         code = cli_main(["run", "--config", str(path), "--setups", "1", "--blocks", "1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: carrier_frequency_hz")
+        assert err.startswith(f"error: {field}")
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the shadowing overflows numpy on its way
     def test_run_with_singular_drop_exits_with_status_2(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cfris.oracles
 from cfris.association import Association
 from cfris.config import SimConfig
 from cfris.network import ChannelStats, generate_realization, ris_grid_positions, spatial_correlation_matrices
@@ -183,3 +184,10 @@ class TestSelectLongTerm:
         assoc.serving_matrix[1] = False
         psi = select_long_term_config(stats, assoc, cfg, mode="optimized")
         assert np.array_equal(psi[1], np.ones(4, dtype=complex))
+
+
+def test_phase_oracle_catches_fronts_off_unit_norm(monkeypatch):
+    # tr A = tr B holds exactly for unit-norm front columns; a 1e-9 scale moves it by 2e-9
+    fronts = cfris.oracles.front_channels
+    monkeypatch.setattr(cfris.oracles, "front_channels", lambda cfg: fronts(cfg) * (1.0 + 1e-9))
+    assert not cfris.oracles.check_phase_optimizer_bound(np.random.default_rng(0))[1]
