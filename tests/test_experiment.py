@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import subprocess
@@ -7,6 +8,7 @@ import time
 import tracemalloc
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,14 +21,18 @@ from cfris.config import SimConfig, load_config
 from cfris.estimation import EffectiveStats
 from cfris.exceptions import CfrisError, ConfigError, ModelError
 from cfris.experiment import (
+    _TAG_NETWORK,
+    COMBINERS,
     SCENARIOS,
     ExperimentSpec,
+    _rng,
     _run_setup,
     emit_report,
     front_channels,
     load_report,
     run_experiment,
 )
+from cfris.network import PATHLOSS_EXPONENT_DB, generate_realization
 from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
 from exact_values import pmmse_se
 
@@ -196,6 +202,51 @@ class TestRunExperiment:
         m = run_experiment(ExperimentSpec(cfg=cfg, combiner="mmse"))
         for name in SCENARIOS:
             assert m.se[name].mean() >= p.se[name].mean() - 1e-9
+
+
+def raise_powers(cfg, db):
+    """Law (a): the pilot, data and noise powers raised by the same db leave every SINR as it is."""
+    gain = 10.0 ** (db / 10.0)
+    return replace(cfg, pilot_power_mw=gain * cfg.pilot_power_mw, data_power_mw=gain * cfg.data_power_mw,
+                   noise_power_dbm=cfg.noise_power_dbm + db)
+
+
+def scale_geometry(cfg, c):
+    """Law (b): every length scaled by c, and the noise lowered by the path loss over a factor c, leave
+    every beta rho / sigma^2 and every angle as they are; the same seed draws the same scaled positions."""
+    return replace(cfg, area_side_m=c * cfg.area_side_m, ap_height_m=c * cfg.ap_height_m,
+                   min_distance_m=c * cfg.min_distance_m, shadowing_decorrelation_m=c * cfg.shadowing_decorrelation_m,
+                   noise_power_dbm=cfg.noise_power_dbm - PATHLOSS_EXPONENT_DB * math.log10(c))
+
+
+class TestInvariance:
+    """Laws of the model that hold from a SimConfig to SE, through the whole chain, with no reference path."""
+    # K > tau_p, and on a 60 m square setup 1 has a UE within the 1 m distance clamp of an AP
+    CFG = SimConfig(L=10, K=6, M=2, N=4, ris_rows=2, ris_cols=2, tau_p=3, area_side_m=60.0,
+                    mc_setups=2, mc_channel_realizations=6, seed=1)
+
+    @pytest.fixture(scope="class", params=COMBINERS)
+    def reference(self, request):
+        return request.param, run_experiment(ExperimentSpec(cfg=self.CFG, combiner=request.param)).se
+
+    def test_drop_shares_pilots_and_clamps_a_distance(self):
+        assert self.CFG.K > self.CFG.tau_p
+        clamped = []
+        for setup in range(self.CFG.mc_setups):
+            real = generate_realization(self.CFG, _rng(self.CFG.seed, _TAG_NETWORK, setup))
+            d2d = np.linalg.norm(real.ue_positions[:, None] - real.ap_positions[None], axis=-1)
+            clamped.append(int(np.sum(d2d < self.CFG.min_distance_m)))
+        assert clamped == [0, 1]
+
+    @pytest.mark.parametrize("law", [(raise_powers, 20.0), (raise_powers, -30.0),
+                                     (scale_geometry, 3.0), (scale_geometry, 0.25)],
+                             ids=["power+20dB", "power-30dB", "geometry*3", "geometry/4"])
+    def test_se_obeys_law(self, reference, law):
+        combiner, expected = reference
+        transform, amount = law
+        se = run_experiment(ExperimentSpec(cfg=transform(self.CFG, amount), combiner=combiner)).se
+        for name in SCENARIOS:
+            assert np.all(np.abs(se[name] - expected[name]) <= 1e-13 * expected[name]), name
 
 
 _FAKE = {}   # setup index -> "die" or (exception class, args); "slow" -> (seconds, marker directory)
