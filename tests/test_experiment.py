@@ -196,6 +196,17 @@ class TestRunExperiment:
         with pytest.raises(ModelError, match="setup 0, scenario no_ris_small: non-finite SE for UE 0"):
             _run_setup(cfg, ["no_ris_small"], "pmmse", None, 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    @pytest.mark.parametrize("field,value", [("area_side_m", 1e80), ("noise_power_dbm", 3000.0)])
+    def test_gram_that_underflows_to_zero_gives_se_zero(self, field, value, combiner):
+        # a pilot SNR below 1e-280 underflows the kernel's Gram P to exactly 0, so q_k = 0: SINR 0, not 0/0
+        cfg = SimConfig(L=3, K=4, M=2, N=4, ris_rows=2, ris_cols=2, tau_p=2, mc_setups=1, mc_channel_realizations=2,
+                        **{field: value})
+        report = run_experiment(ExperimentSpec(cfg=cfg, combiner=combiner))
+        for name in SCENARIOS:
+            assert np.array_equal(report.se[name], np.zeros((1, cfg.K))), name
+
     def test_mmse_combiner_at_least_pmmse_on_average(self):
         cfg = tiny_cfg(mc_setups=3, mc_channel_realizations=8)
         p = run_experiment(ExperimentSpec(cfg=cfg, combiner="pmmse"))
