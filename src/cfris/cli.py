@@ -85,7 +85,3 @@ def main(argv=None):
     except (CfrisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

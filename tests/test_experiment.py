@@ -744,6 +744,16 @@ class TestCli:
         assert code == 0
         assert out.count("[PASS]") == len(ALL_CHECKS)
 
+    def test_python_m_cfris_runs_the_cli(self, tmp_path):
+        ok = fresh_interpreter("-m", "cfris", "validate")
+        assert ok.returncode == 0, ok.stderr[-3000:]
+        assert "configuration ok" in ok.stdout
+        path = tmp_path / "unknown.cfg"
+        path.write_text("warp_factor = 9\n")
+        bad = fresh_interpreter("-m", "cfris", "validate", "--config", str(path))
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("error: ") and "warp_factor" in bad.stderr
+
     def test_import_loads_no_worker_machinery(self):
         # run_experiment imports the process pool when it forks, so set-up does not pay for it;
         # numpy itself loads ctypes
@@ -778,10 +788,15 @@ class TestCli:
         exec(imports[0], {})
 
 
+def fresh_interpreter(*args):
+    """The completed process of a new interpreter, given args, that imports this checkout's src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 def fresh_interpreter_output(code):
     """Stripped stdout of code run in a new interpreter that imports this checkout's src."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = fresh_interpreter("-c", code)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return proc.stdout.strip()
 
