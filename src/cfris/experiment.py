@@ -179,8 +179,9 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
             eps = np.sum(np.abs(p[:, others] @ y) ** 2, axis=1)   # the non-partners' power |(P y)_i|^2
             ub = (w @ y).reshape(b, c_inv.shape[0], m, -1)      # u = W y = C^H v for the members' combiners v
             eps += np.sum(ub.conj() * (delta_w @ ub), axis=(1, 2)).real
-        # a Gram that underflows to 0 gives q_k = 0 and SINR 0, not 0/0; a NaN q_k still reaches the caller
-        sinr = np.divide(q_k**2, y_k * q_k + eps, out=np.zeros_like(q_k), where=q_k != 0)
+        with np.errstate(invalid="ignore"):   # a Gram that underflows to 0 gives q_k = 0: SINR 0, not 0/0
+            sinr = q_k**2 / (y_k * q_k + eps)
+        sinr[q_k == 0] = 0.0                   # in place, so the sum over blocks keeps its order
         sum_log[members] += np.log2(1.0 + sinr).sum(axis=0)
 
 
