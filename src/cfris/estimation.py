@@ -10,8 +10,6 @@ import numpy as np
 from .linalg import psd_sqrt, tril_inv
 from .network import LatticeCorrelation
 
-_DRAW_RUN = 4096   # values per standard_normal call of sample_pilot_statistics, at least a block
-
 
 def effective_front(H_l, psi_l):
     """E_l = H_l diag(psi_l) without forming the diagonal matrix.
@@ -130,20 +128,13 @@ class EffectiveStats:
         self.F, self.T = f, q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
-        """White draws w ~ CN(0, I), independent across (block, pilot, AP).
+        """White draws w ~ CN(0, I), independent across (block, pilot, AP); shape (blocks, tau_p, L, m).
 
-        Shape (blocks, tau_p, L, m). Real parts: the first standard_normal
-        draw of that shape; imaginary parts: the second, each drawn in runs
-        of whole blocks through one small reused float buffer (the same
-        stream, no whole-shape temporary). effective_estimates may overwrite w.
+        One standard_normal call fills w viewed as floats: real and imaginary parts interleaved, block-major,
+        so any split of the blocks into chunks draws the same values. effective_estimates may overwrite w.
         """
-        shape = (blocks, self.tau_p, self.L, self.m)
-        w = np.empty(shape, dtype=complex)
-        run = max(1, _DRAW_RUN // (self.tau_p * self.L * self.m))
-        buf = np.empty((min(run, blocks),) + shape[1:])
-        for part in (w.real, w.imag):
-            for start in range(0, blocks, run):
-                part[start:start + run] = rng.standard_normal(out=buf[:blocks - start])
+        w = np.empty((blocks, self.tau_p, self.L, self.m), dtype=complex)
+        rng.standard_normal(out=w.view(float))
         w *= np.sqrt(0.5)
         return w
 

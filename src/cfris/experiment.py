@@ -48,7 +48,7 @@ _TAG_BLOCKS = 2
 _TAG_PHASES = 3
 _TAG_FRONT = 4
 
-_BLOCK_CHUNK = 32
+_BLOCK_CHUNK = 32   # blocks per kernel chunk: it bounds memory only, since every chunk continues one block stream
 
 
 @dataclass

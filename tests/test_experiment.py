@@ -483,7 +483,7 @@ class TestSeKernel:
 
     @pytest.mark.parametrize("K", [4, 3])
     def test_one_group_chunk_holds_few_estimate_sized_arrays(self, K):
-        # the chunk's draws are drawn through a small buffer, the estimates formed over the draws
+        # the chunk's draws are drawn into one estimate-sized array, the estimates formed over the draws
         # AP by AP and whitened over the estimates block by block, so one estimate-sized array
         # holds the draws, the estimates and W = C^-1 G in turn, and the array peak stays under
         # 1.75 chunks of estimates; with K < tau_p W keeps the unused pilot slots between blocks,
@@ -506,6 +506,23 @@ class TestSeKernel:
         assert len({tuple(serving) for serving in assoc.serving_sets}) == 6
         assert any(len(assoc.pmmse_partners(k)) < cfg.K for k in range(cfg.K))   # some groups have non-partners
         assert self._chunk_peak_in_estimates(EffectiveStats(r, None, assoc.pilot_of, cfg), assoc, cfg) <= 3.5
+
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    def test_se_does_not_depend_on_the_chunk_size(self, monkeypatch, combiner):
+        # each chunk's draws continue one block-major stream, so the chunk size bounds memory only:
+        # on a K > tau_p drop with six UE groups and 70 blocks (a partial last chunk of 32) any
+        # chunking gives the same SE up to the order of the sum over blocks
+        cfg = SimConfig(L=12, K=6, M=2, N=16, tau_p=3, ris_rows=4, ris_cols=4)
+        rng = np.random.default_rng(0)
+        beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, fronts = _equivalence_drop(rng, cfg, beta)
+        stats, n_blocks = EffectiveStats(r, fronts, assoc.pilot_of, cfg), 70
+        se = {}
+        for chunk in (1, 7, 32, n_blocks):
+            monkeypatch.setattr(cfris.experiment, "_BLOCK_CHUNK", chunk)
+            se[chunk] = cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(5), combiner, n_blocks)
+        for chunk, values in se.items():
+            assert np.all(np.abs(values - se[32]) <= 1e-15 * se[32]), chunk
 
     @pytest.mark.parametrize("combiner", ["pmmse", "mmse"])
     def test_lone_group_off_some_ap_matches_reference(self, combiner):
