@@ -27,6 +27,9 @@ _CHOICES = {"array_geometry": ("linear", "planar")}
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
 _GEOMETRY_FIELDS = ("element_spacing", "box_depth_m", "carrier_frequency_hz")
 _TINY = np.finfo(float).tiny
+# A shadowing draw x is a unit-norm sum of standard normals times shadowing_std_db, so it lies beyond 40 standard
+# deviations with probability below 2 exp(-800); up to there, 40 * 77 = 3080 dB, its gain 10^(x/10) is a finite float.
+_MAX_SHADOWING_STD_DB = 77.0
 
 
 @dataclass
@@ -104,6 +107,9 @@ class SimConfig:
         for name in _NON_NEGATIVE_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be non-negative")
+        if self.shadowing_std_db > _MAX_SHADOWING_STD_DB:
+            raise ConfigError("shadowing_std_db", f"must be at most {_MAX_SHADOWING_STD_DB} dB, so that the gain "
+                                                  "10^(x/10) of a draw x of 40 standard deviations stays finite")
         if not 0.0 <= self.rician_los_fraction <= 1.0:
             raise ConfigError("rician_los_fraction", "must lie in [0, 1]")
         for name, choices in _CHOICES.items():

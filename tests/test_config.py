@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cfris.config import SimConfig, load_config, parse_config_text
+from cfris.config import _MAX_SHADOWING_STD_DB, SimConfig, load_config, parse_config_text
 from cfris.exceptions import ConfigError
 from cfris.experiment import ExperimentSpec, front_channels, run_experiment
 
@@ -128,6 +128,22 @@ class TestValidation:
             return
         assert np.abs(np.linalg.norm(front_channels(cfg), axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
         report = run_experiment(ExperimentSpec(cfg=cfg))   # all four scenarios
+        assert all(np.isfinite(se).all() for se in report.se.values())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e6, np.nextafter(_MAX_SHADOWING_STD_DB, np.inf), _MAX_SHADOWING_STD_DB])
+    def test_extreme_shadowing_rejected_by_name_or_runs(self, value):
+        # 1e6 dB passed validate() and overflowed the shadowing gain inside the drop; the largest
+        # accepted value runs, without a numpy warning, to finite SE in every scenario
+        cfg = SimConfig(L=3, K=4, M=2, N=4, ris_rows=2, ris_cols=2, tau_p=2, mc_setups=1, mc_channel_realizations=2,
+                        shadowing_std_db=value)
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            assert err.field == "shadowing_std_db" and value > _MAX_SHADOWING_STD_DB
+            return
+        assert value == _MAX_SHADOWING_STD_DB
+        report = run_experiment(ExperimentSpec(cfg=cfg))
         assert all(np.isfinite(se).all() for se in report.se.values())
 
     def test_int_valid_for_float_field(self):

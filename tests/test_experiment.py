@@ -741,10 +741,11 @@ class TestCli:
         assert err.startswith(f"error: {field}")
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the shadowing overflows numpy on its way
     def test_run_with_singular_drop_exits_with_status_2(self, tmp_path, capsys):
-        path = tmp_path / "shadowed.cfg"
-        path.write_text("L = 3\nK = 4\nM = 2\nN = 4\nris_rows = 2\nris_cols = 2\ntau_p = 2\nshadowing_std_db = 1e6\n")
+        # no angular spread leaves the correlation matrices singular, and 1e-303 W of noise does not lift them
+        path = tmp_path / "singular.cfg"
+        path.write_text("L = 3\nK = 4\nM = 2\nN = 4\nris_rows = 2\nris_cols = 2\ntau_p = 2\n"
+                        "angular_spread_deg = 0\nnoise_power_dbm = -3000\n")
         code = cli_main(["run", "--config", str(path), "--setups", "1", "--blocks", "2", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
