@@ -48,7 +48,8 @@ _TAG_BLOCKS = 2
 _TAG_PHASES = 3
 _TAG_FRONT = 4
 
-_BLOCK_CHUNK = 32   # blocks per kernel chunk: it bounds memory only, since every chunk continues one block stream
+_BLOCK_CHUNK = 16   # blocks per kernel chunk, two alive while the next is drawn: it bounds memory only, since
+                    # every chunk continues one block stream and the sum over blocks runs in block order
 
 
 @dataclass
@@ -124,7 +125,8 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     over them): (P y)_i = (C^-1 sqrt(eta) ghat_i)^H u with u = W y = C^H v, so
     non-partner i's power is |(P y)_i|^2, and u is formed only for u^H D u, D
     = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p, or L = 1) writes W over the
-    estimates' memory, any other group into one fresh array.
+    estimates' memory, any other group into one fresh array. A call over more than one chunk of blocks draws
+    chunk i + 1 on one helper thread while this thread evaluates chunk i, and joins it before it returns or raises.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -150,19 +152,37 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
                      c_inv, delta_w, members))
 
     sum_log = np.zeros(K)
-    for start in range(0, n_blocks, _BLOCK_CHUNK):
-        _add_chunk_log_sinr(sum_log, stats, plan, rng, min(_BLOCK_CHUNK, n_blocks - start))
+    if n_blocks <= _BLOCK_CHUNK:   # one chunk: nothing to overlap its draw with
+        _add_chunk_log_sinr(sum_log, stats, plan, stats.sample_pilot_statistics(rng, n_blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        sizes = [min(_BLOCK_CHUNK, n_blocks - start) for start in range(0, n_blocks, _BLOCK_CHUNK)]
+        # a single helper runs the fills in submission order, so the chunks continue one block stream; this
+        # thread allocates every chunk, so a freed chunk returns to its own malloc arena
+        with ThreadPoolExecutor(1) as helper:
+            def draw(b):   # a chunk's array and the helper's future that fills it
+                w = np.empty((b, stats.tau_p, stats.L, m), complex)
+                return w, helper.submit(stats.fill_pilot_statistics, rng, w)
+
+            pending = draw(sizes[0])
+            for b in sizes[1:] + [0]:   # the next chunk's size, 0 after the last
+                w, filled = pending     # drops the chunk before, so at most two chunks are alive
+                filled.result()
+                pending = draw(b) if b else None
+                _add_chunk_log_sinr(sum_log, stats, plan, w)
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
 
 
-def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
-    """Draw b blocks and add each plan group's members' log2(1 + SINR) over them to sum_log.
+def _add_chunk_log_sinr(sum_log, stats, plan, w):
+    """Add each UE's log2(1 + SINR) over the chunk of blocks whose pilot draws are w to sum_log, block by block.
 
-    The chunk's estimates and products live in this frame only, so they are
-    freed before the caller draws the next chunk.
+    The chunk's estimates are formed over w, and they and the products live
+    in this frame only, so the caller frees them with w.
     """
-    K, m = stats.K, stats.m
-    ghat = stats.effective_estimates(stats.sample_pilot_statistics(rng, b))  # (b, L, m, K)
+    K, m, b = stats.K, stats.m, w.shape[0]
+    ghat = stats.effective_estimates(w)   # (b, L, m, K)
+    log_sinr = np.empty((b, K))           # C order: row i is block i's
     for idx, mask, others, c_inv, delta_w, members in plan:
         # W = sqrt(eta) C^-1 ghat on the serving APs for all K UEs, (b, d, K), block by block, over the estimates'
         # memory in a lone group on every AP, their only reader (a view: each block's estimates are contiguous)
@@ -181,8 +201,10 @@ def _add_chunk_log_sinr(sum_log, stats, plan, rng, b):
             eps += np.sum(ub.conj() * (delta_w @ ub), axis=(1, 2)).real
         with np.errstate(invalid="ignore"):   # a Gram that underflows to 0 gives q_k = 0: SINR 0, not 0/0
             sinr = q_k**2 / (y_k * q_k + eps)
-        sinr[q_k == 0] = 0.0                   # in place, so the sum over blocks keeps its order
-        sum_log[members] += np.log2(1.0 + sinr).sum(axis=0)
+        sinr[q_k == 0] = 0.0
+        log_sinr[:, members] = np.log2(1.0 + sinr)
+    for row in log_sinr:   # in block order, so the sum is the same for any chunk size
+        sum_log += row
 
 
 def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):

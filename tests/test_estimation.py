@@ -382,6 +382,11 @@ class TestEffectiveStats:
         rng = np.random.default_rng(16)
         chunks = [stats.sample_pilot_statistics(rng, blocks) for blocks in (1, 3, 1)]
         assert np.array_equal(np.concatenate(chunks), w)
+        # fill_pilot_statistics draws the same values into the caller's arrays
+        rng, filled = np.random.default_rng(16), np.empty_like(w)
+        for part in (filled[:2], filled[2:]):
+            stats.fill_pilot_statistics(rng, part)
+        assert np.array_equal(filled, w)
 
     def test_sampling_deterministic(self):
         stats, *_ = self.build()

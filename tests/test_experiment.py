@@ -370,6 +370,30 @@ class TestWorkers:
         assert "Traceback" not in err
 
 
+class FixedBlocks:
+    """Stands in for EffectiveStats: the estimates are the fixed blocks ghat (blocks, L, m, K). Each rng's draws
+    hand them out in order, laid out like EffectiveStats' draws (each block's (K, L, m) contiguous), and the
+    estimates are the draws transposed."""
+
+    def __init__(self, ghat, F):
+        self._blocks = ghat.transpose(0, 3, 1, 2)
+        _, self.K, self.L, self.m = self._blocks.shape
+        self.tau_p, self.F, self._drawn = self.K, F, {}
+
+    def fill_pilot_statistics(self, rng, w):
+        start = self._drawn.get(rng, 0)
+        w[...] = self._blocks[start:start + len(w)]
+        self._drawn[rng] = start + len(w)
+
+    def sample_pilot_statistics(self, rng, b):
+        w = np.empty((b, self.tau_p, self.L, self.m), complex)
+        self.fill_pilot_statistics(rng, w)
+        return w
+
+    def effective_estimates(self, w):
+        return w.transpose(0, 2, 3, 1)
+
+
 class TestSeKernel:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -399,18 +423,7 @@ class TestSeKernel:
     def _kernel_against_40_digits(cfg, ghat, F, assoc):
         """Kernel SE on the fixed blocks ghat (blocks, L, m, K), the reference chain's SE on the
         same blocks and the 40-digit P-MMSE SE."""
-        blocks, L, m, K = ghat.shape
-
-        class FixedBlocks:   # stands in for EffectiveStats: the blocks are ghat itself
-            def sample_pilot_statistics(self, rng, b):
-                return ghat[:b]
-
-            def effective_estimates(self, z):
-                return z
-
-        stats = FixedBlocks()
-        stats.K, stats.L, stats.m, stats.F = K, L, m, F
-        fast, reference, _ = _kernel_and_reference(stats, assoc, cfg, "pmmse", n_blocks=blocks)
+        fast, reference, _ = _kernel_and_reference(FixedBlocks(ghat, F), assoc, cfg, "pmmse", n_blocks=len(ghat))
         return fast, reference, pmmse_se(cfg, ghat, F, assoc)
 
     def test_high_sinr_accuracy_against_40_digits(self):
@@ -470,8 +483,9 @@ class TestSeKernel:
 
     @staticmethod
     def _chunk_peak_in_estimates(stats, assoc, cfg):
-        """The tracemalloc peak of one kernel call over one chunk of blocks, in chunks of estimates."""
-        blocks = cfris.experiment._BLOCK_CHUNK
+        """The tracemalloc peak of one kernel call over two chunks of blocks, in units of that call's estimates:
+        the chunk being evaluated and the next one, drawn meanwhile, together make one unit."""
+        blocks = 2 * cfris.experiment._BLOCK_CHUNK
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -483,11 +497,11 @@ class TestSeKernel:
 
     @pytest.mark.parametrize("K", [4, 3])
     def test_one_group_chunk_holds_few_estimate_sized_arrays(self, K):
-        # the chunk's draws are drawn into one estimate-sized array, the estimates formed over the draws
+        # each chunk's draws are drawn into one estimate-sized array, the estimates formed over the draws
         # AP by AP and whitened over the estimates block by block, so one estimate-sized array
-        # holds the draws, the estimates and W = C^-1 G in turn, and the array peak stays under
-        # 1.75 chunks of estimates; with K < tau_p W keeps the unused pilot slots between blocks,
-        # and its Gram reads it in place
+        # holds the draws, the estimates and W = C^-1 G in turn; with the next chunk drawn meanwhile the
+        # array peak stays under 1.75 units of estimates; with K < tau_p W keeps the unused pilot slots
+        # between blocks, and its Gram reads it in place
         cfg = SimConfig(L=8, K=K, M=2, N=16, tau_p=4, ris_rows=4, ris_cols=4)
         rng = np.random.default_rng(0)
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
@@ -498,7 +512,7 @@ class TestSeKernel:
     def test_multi_group_chunk_holds_few_estimate_sized_arrays(self):
         # each UE group whitens all K UEs' estimates block by block into one fresh array and reads
         # the partners' S and the non-partners' power off one Gram, with no copy of the estimates'
-        # columns, so six groups keep the array peak under 3.5 chunks of estimates
+        # columns, so six groups keep the array peak under 3.5 units of estimates
         cfg = SimConfig(L=12, K=6, M=2, N=16, tau_p=3, ris_rows=4, ris_cols=4)
         rng = np.random.default_rng(0)
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
@@ -509,20 +523,60 @@ class TestSeKernel:
 
     @pytest.mark.parametrize("combiner", COMBINERS)
     def test_se_does_not_depend_on_the_chunk_size(self, monkeypatch, combiner):
-        # each chunk's draws continue one block-major stream, so the chunk size bounds memory only:
-        # on a K > tau_p drop with six UE groups and 70 blocks (a partial last chunk of 32) any
-        # chunking gives the same SE up to the order of the sum over blocks
+        # each chunk's draws continue one block-major stream, so the chunk size bounds memory only: on a
+        # K > tau_p drop with six UE groups and 70 blocks (partial last chunks of 7, 16 and 32) any
+        # chunking gives the same SE up to the rounding of the estimates' per-AP product, whose blocks
+        # are its columns. Given the estimates, each block's SINR is formed on its own and the sum over
+        # blocks runs in block order, so the SE bits do not depend on the chunking
         cfg = SimConfig(L=12, K=6, M=2, N=16, tau_p=3, ris_rows=4, ris_cols=4)
         rng = np.random.default_rng(0)
         beta = 10 ** rng.uniform(0.0, 3.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
         r, assoc, fronts = _equivalence_drop(rng, cfg, beta)
         stats, n_blocks = EffectiveStats(r, fronts, assoc.pilot_of, cfg), 70
-        se = {}
-        for chunk in (1, 7, 32, n_blocks):
+        ghat = stats.effective_estimates(stats.sample_pilot_statistics(np.random.default_rng(5), n_blocks))
+        se, fixed = {}, {}
+        for chunk in (1, 7, 16, 32, n_blocks):
             monkeypatch.setattr(cfris.experiment, "_BLOCK_CHUNK", chunk)
             se[chunk] = cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(5), combiner, n_blocks)
-        for chunk, values in se.items():
-            assert np.all(np.abs(values - se[32]) <= 1e-15 * se[32]), chunk
+            fixed[chunk] = cfris.experiment.block_batched_se(FixedBlocks(ghat, stats.F), assoc, cfg,
+                                                             np.random.default_rng(5), combiner, n_blocks)
+        for chunk in se:
+            assert np.all(np.abs(se[chunk] - se[32]) <= 1e-15 * se[32]), chunk
+            assert np.array_equal(fixed[chunk], fixed[n_blocks]), chunk
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_draw_thread_outlives_a_multi_chunk_call(self, monkeypatch, fails):
+        # the chunks after the first are drawn off the calling thread, and the helper is joined
+        # when the call returns and when the evaluation of the second chunk raises
+        cfg = SimConfig(L=4, K=3, M=2, N=4, tau_p=4, ris_rows=2, ris_cols=2)
+        rng = np.random.default_rng(0)
+        beta = rng.uniform(0.5, 2.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
+        r, assoc, _ = _equivalence_drop(rng, cfg, beta)
+        assert assoc.serving_matrix.all()   # one UE group: one Gram per chunk
+        fill, gram, fillers, grams = EffectiveStats.fill_pilot_statistics, cfris.experiment.hermitian_gram, [], []
+
+        def recording_fill(self, rng, w):
+            fillers.append(threading.get_ident())
+            fill(self, rng, w)
+
+        def gram_failing_on_the_second_chunk(w):
+            grams.append(len(w))
+            if fails and len(grams) == 2:
+                raise np.linalg.LinAlgError("second chunk")
+            return gram(w)
+
+        monkeypatch.setattr(EffectiveStats, "fill_pilot_statistics", recording_fill)
+        monkeypatch.setattr(cfris.experiment, "hermitian_gram", gram_failing_on_the_second_chunk)
+        stats, n_blocks = EffectiveStats(r, None, assoc.pilot_of, cfg), 3 * cfris.experiment._BLOCK_CHUNK + 1
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(np.linalg.LinAlgError, match="second chunk"):
+                cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=n_blocks)
+        else:
+            se = cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=n_blocks)
+            assert np.all(np.isfinite(se)) and sum(grams) == n_blocks
+        assert threading.active_count() == before
+        assert fillers and threading.get_ident() not in fillers
 
     @pytest.mark.parametrize("combiner", ["pmmse", "mmse"])
     def test_lone_group_off_some_ap_matches_reference(self, combiner):
