@@ -19,6 +19,11 @@ pairs the working tree wins and a verdict:
   metric's ``bound`` (a fraction of the revision's median);
 - ``unresolved``: neither.
 
+The summary also gives each side's median ``drops_per_s.t2`` /
+``drops_per_s.t1``. Two workers on a 2-core machine read about 1.5-1.75
+when the second CPU is free; a base ratio near 1 or below says it was busy,
+so a ``.t1`` gain that needs the second CPU could not show.
+
 Before the pairs, each side also prints the tracemalloc peak of one drop
 (``_run_setup`` of drop 0 at the first seed), measured in a fresh process
 on that tree's ``src``: the process high-water mark ``peak_rss_mb`` need
@@ -115,8 +120,15 @@ def verdict(bq, nq, wins, pairs, higher, bound):
     return "unresolved"
 
 
+def t2_over_t1(runs):
+    """Median over ``runs`` of drops_per_s.t2 / drops_per_s.t1."""
+    return statistics.median(run["metrics"]["drops_per_s.t2"]["value"] / run["metrics"]["drops_per_s.t1"]["value"]
+                             for run in runs)
+
+
 def summarize(workload, metrics, results):
-    """Print one line per end-to-end metric; ``results`` holds (base, new) JSON pairs."""
+    """Print one line per end-to-end metric and both sides' median .t2/.t1; ``results`` holds (base, new) JSON
+    pairs."""
     print(f"\n{workload}: {len(results)} pairs, base = revision, new = working tree")
     for base, new in results:
         for side, result in (("base", base), ("new", new)):
@@ -132,6 +144,7 @@ def summarize(workload, metrics, results):
         bq, nq = quartiles(base), quartiles(new)
         print(f"  {name:16s} {bq[0]:9.4g} / {bq[1]:9.4g} / {bq[2]:9.4g}  {nq[0]:9.4g} / {nq[1]:9.4g} / {nq[2]:9.4g} "
               f"{nq[1] / bq[1]:7.3f} {wins:5d}/{len(results)}  {verdict(bq, nq, wins, len(results), higher, metric['bound'])}")
+    print(f"  median .t2/.t1: base {t2_over_t1([b for b, _ in results]):.2f}, new {t2_over_t1([n for _, n in results]):.2f}")
 
 
 def main(argv=None):
