@@ -131,8 +131,8 @@ class EffectiveStats:
         self.F, self.T = f, q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
-        """White draws w ~ CN(0, I), independent across (block, pilot, AP); shape (blocks, tau_p, L, m).
-        fill_pilot_statistics into a fresh array. effective_estimates may overwrite w."""
+        """White draws w ~ CN(0, I), independent across (block, pilot, AP), in a fresh (blocks, tau_p, L, m) array
+        filled by fill_pilot_statistics. effective_estimates may overwrite w."""
         w = np.empty((blocks, self.tau_p, self.L, self.m), dtype=complex)
         self.fill_pilot_statistics(rng, w)
         return w

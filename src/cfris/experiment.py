@@ -182,7 +182,7 @@ def _add_chunk_log_sinr(sum_log, stats, plan, w):
     """
     K, m, b = stats.K, stats.m, w.shape[0]
     ghat = stats.effective_estimates(w)   # (b, L, m, K)
-    log_sinr = np.empty((b, K))           # C order: row i is block i's
+    log_sinr = np.empty((b, K))           # C order: row i holds block i's log2(1 + SINR)
     for idx, mask, others, c_inv, delta_w, members in plan:
         # W = sqrt(eta) C^-1 ghat on the serving APs for all K UEs, (b, d, K), block by block, over the estimates'
         # memory in a lone group on every AP, their only reader (a view: each block's estimates are contiguous)
