@@ -92,12 +92,8 @@ class EffectiveStats:
         else:
             Q = effective_covariance(R, fronts)
 
-        if isinstance(self._pilots, slice):   # pilot k is UE k's alone: its Gram is tpp Q_k + sigma^2 I
-            gram, copilot = tpp * Q, None
-        else:
-            onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
-            gram = np.tensordot(tpp * onehot, Q, axes=1)
-            copilot = onehot.T @ onehot - np.eye(K)
+        onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
+        gram = np.tensordot(tpp * onehot, Q, axes=1)
         gram += cfg.noise_power_w * np.eye(m)
         # Each (K, L, m, m) stack is dropped once used and the later steps work in place, so a
         # bank holds at most three at a time, four with co-pilots (a test pins five at toy size,
@@ -114,7 +110,8 @@ class EffectiveStats:
         # subtracted: at high pilot SNR Q_kl dominates G and the difference
         # cancels. Without co-pilots rest = sigma^2 I, and L^-1 rest is L^-1
         # scaled, bit for bit.
-        if copilot is not None and copilot.any():
+        copilot = onehot.T @ onehot - np.eye(K)
+        if copilot.any():
             rest = np.tensordot(tpp * copilot, Q, axes=1)
             del Q
             rest += cfg.noise_power_w * np.eye(m)
