@@ -11,6 +11,7 @@ which makes the output independent of the worker count.
 import csv
 import numbers
 import os
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -125,8 +126,9 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     over them): (P y)_i = (C^-1 sqrt(eta) ghat_i)^H u with u = W y = C^H v, so
     non-partner i's power is |(P y)_i|^2, and u is formed only for u^H D u, D
     = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p, or L = 1) writes W over the
-    estimates' memory, any other group into one fresh array. A call over more than one chunk of blocks draws
-    chunk i + 1 on one helper thread while this thread evaluates chunk i, and joins it before it returns or raises.
+    estimates' memory, any other group into one fresh array. This thread draws the first chunk of blocks;
+    a helper thread draws chunk i + 1 while this thread evaluates chunk i, and is joined before the call returns
+    or raises.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -152,26 +154,45 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
                      c_inv, delta_w, members))
 
     sum_log = np.zeros(K)
-    if n_blocks <= _BLOCK_CHUNK:   # one chunk: nothing to overlap its draw with
-        _add_chunk_log_sinr(sum_log, stats, plan, stats.sample_pilot_statistics(rng, n_blocks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        sizes = [min(_BLOCK_CHUNK, n_blocks - start) for start in range(0, n_blocks, _BLOCK_CHUNK)]
-        # a single helper runs the fills in submission order, so the chunks continue one block stream; this
-        # thread allocates every chunk, so a freed chunk returns to its own malloc arena
-        with ThreadPoolExecutor(1) as helper:
-            def draw(b):   # a chunk's array and the helper's future that fills it
-                w = np.empty((b, stats.tau_p, stats.L, m), complex)
-                return w, helper.submit(stats.fill_pilot_statistics, rng, w)
-
-            pending = draw(sizes[0])
-            for b in sizes[1:] + [0]:   # the next chunk's size, 0 after the last
-                w, filled = pending     # drops the chunk before, so at most two chunks are alive
-                filled.result()
-                pending = draw(b) if b else None
-                _add_chunk_log_sinr(sum_log, stats, plan, w)
+    sizes = [min(_BLOCK_CHUNK, n_blocks - start) for start in range(0, n_blocks, _BLOCK_CHUNK)]
+    w = stats.sample_pilot_statistics(rng, sizes[0])   # nothing to overlap the first chunk's draw with
+    for b in sizes[1:]:
+        # chunk i + 1 is filled after chunk i's fill was joined, so the chunks continue one block stream
+        draw = _ChunkDraw(stats, rng, b)
+        try:
+            _add_chunk_log_sinr(sum_log, stats, plan, w)
+        finally:
+            draw.join()
+        w = draw.result()   # drops chunk i, so at most two chunks are alive
+    _add_chunk_log_sinr(sum_log, stats, plan, w)
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
+
+
+class _ChunkDraw(threading.Thread):
+    """A helper thread that fills a chunk of b blocks with the block stream's pilot draws.
+
+    The calling thread allocates the chunk, so once freed it returns to that
+    thread's malloc arena. The helper does no BLAS; result() joins it and
+    re-raises on the calling thread what the fill raised.
+    """
+
+    def __init__(self, stats, rng, b):
+        super().__init__(name="cfris-pilot-draw")
+        self.w = np.empty((b, stats.tau_p, stats.L, stats.m), complex)
+        self._fill, self._rng, self._error = stats.fill_pilot_statistics, rng, None
+        self.start()
+
+    def run(self):
+        try:
+            self._fill(self._rng, self.w)
+        except Exception as error:
+            self._error = error
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self.w
 
 
 def _add_chunk_log_sinr(sum_log, stats, plan, w):

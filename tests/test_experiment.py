@@ -544,10 +544,11 @@ class TestSeKernel:
             assert np.all(np.abs(se[chunk] - se[32]) <= 1e-15 * se[32]), chunk
             assert np.array_equal(fixed[chunk], fixed[n_blocks]), chunk
 
-    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("fails", [None, "kernel", "draw"], ids=["returns", "kernel-raises", "draw-raises"])
     def test_no_draw_thread_outlives_a_multi_chunk_call(self, monkeypatch, fails):
-        # the chunks after the first are drawn off the calling thread, and the helper is joined
-        # when the call returns and when the evaluation of the second chunk raises
+        # the calling thread draws the first chunk and a helper each later one; the helper is joined
+        # when the call returns, when the evaluation of the second chunk raises and when the third
+        # chunk's draw raises on the helper, whose error the calling thread re-raises
         cfg = SimConfig(L=4, K=3, M=2, N=4, tau_p=4, ris_rows=2, ris_cols=2)
         rng = np.random.default_rng(0)
         beta = rng.uniform(0.5, 2.0, size=(cfg.K, cfg.L)) * cfg.noise_power_w / cfg.data_power_w
@@ -555,13 +556,17 @@ class TestSeKernel:
         assert assoc.serving_matrix.all()   # one UE group: one Gram per chunk
         fill, gram, fillers, grams = EffectiveStats.fill_pilot_statistics, cfris.experiment.hermitian_gram, [], []
 
-        def recording_fill(self, rng, w):
+        def recording_fill(self, rng, w):   # slow on a helper, so a helper left unjoined is still alive at the end
             fillers.append(threading.get_ident())
+            if fillers[0] != fillers[-1]:
+                time.sleep(0.05)
+            if fails == "draw" and len(fillers) == 3:
+                raise FloatingPointError("third chunk")
             fill(self, rng, w)
 
         def gram_failing_on_the_second_chunk(w):
             grams.append(len(w))
-            if fails and len(grams) == 2:
+            if fails == "kernel" and len(grams) == 2:
                 raise np.linalg.LinAlgError("second chunk")
             return gram(w)
 
@@ -570,13 +575,15 @@ class TestSeKernel:
         stats, n_blocks = EffectiveStats(r, None, assoc.pilot_of, cfg), 3 * cfris.experiment._BLOCK_CHUNK + 1
         before = threading.active_count()
         if fails:
-            with pytest.raises(np.linalg.LinAlgError, match="second chunk"):
+            error, match = (np.linalg.LinAlgError, "second") if fails == "kernel" else (FloatingPointError, "third")
+            with pytest.raises(error, match=match):
                 cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=n_blocks)
         else:
             se = cfris.experiment.block_batched_se(stats, assoc, cfg, np.random.default_rng(1), n_blocks=n_blocks)
             assert np.all(np.isfinite(se)) and sum(grams) == n_blocks
         assert threading.active_count() == before
-        assert fillers and threading.get_ident() not in fillers
+        assert len(fillers) == (3 if fails else 4)   # no draw starts after a failure
+        assert fillers[0] == threading.get_ident() and threading.get_ident() not in fillers[1:]
 
     @pytest.mark.parametrize("combiner", ["pmmse", "mmse"])
     def test_lone_group_off_some_ap_matches_reference(self, combiner):
