@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .exceptions import ConfigError
-from .network import front_los
+from .network import front_los, pathloss_beta
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -25,7 +25,7 @@ _NON_NEGATIVE_FIELDS = ("area_side_m", "angular_spread_deg", "shadowing_std_db",
 _AT_LEAST_ONE_FIELDS = ("K", "L", "M", "tau_p", "mc_setups", "mc_channel_realizations")
 _CHOICES = {"array_geometry": ("linear", "planar")}
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}   # an int is a valid float, a bool is neither
-_GEOMETRY_FIELDS = ("element_spacing", "box_depth_m", "carrier_frequency_hz")
+_GEOMETRY_FIELDS = ("element_spacing", "box_depth_m", "carrier_frequency_hz", "min_distance_m", "ap_height_m")
 _TINY = np.finfo(float).tiny
 # A shadowing draw x is a unit-norm sum of standard normals times shadowing_std_db, so it lies beyond 40 standard
 # deviations with probability below 2 exp(-800); up to there, 40 * 77 = 3080 dB, its gain 10^(x/10) is a finite float.
@@ -120,17 +120,20 @@ class SimConfig:
             given = given or ["element_spacing"]
             name = next((name for name in given
                          if _geometry_representable(replace(self, **{name: getattr(SimConfig, name)}))), given[0])
-            raise ConfigError(name, "the lattice pitch and every LOS power must be normal floats")
+            raise ConfigError(name, "the lattice pitch and every LOS power must be normal floats, and the path-loss "
+                                    "gain at the distance clamp finite")
         return self
 
 
 def _geometry_representable(cfg):
-    """Lattice pitch and every LOS power |front_los|^2 normal floats, each column's power sum finite: network divides
-    by the pitch to index the lattice, and a subnormal power loses digits in a front column's unit-norm scaling."""
+    """Lattice pitch and every LOS power |front_los|^2 normal floats, each column's power sum finite, and the largest
+    path-loss gain, at the distance clamp, finite: network divides by the pitch to index the lattice, a subnormal
+    power loses digits in a front column's unit-norm scaling, and an infinite gain makes every SE non-finite."""
     with np.errstate(all="ignore"):   # numpy's overflow and underflow warnings would repeat the verdict
         power = np.abs(front_los(cfg)) ** 2
         return _TINY <= cfg.element_spacing * cfg.wavelength_m < math.inf and bool(
-            (power >= _TINY).all() and np.isfinite(power.sum(axis=0)).all())
+            (power >= _TINY).all() and np.isfinite(power.sum(axis=0)).all()
+            and np.isfinite(pathloss_beta(math.hypot(cfg.min_distance_m, cfg.ap_height_m))))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SimConfig)}

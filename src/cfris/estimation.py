@@ -8,7 +8,6 @@ no-RIS receiver is the special case E_l = I, passed as front None.
 import numpy as np
 
 from .linalg import psd_sqrt, tril_inv
-from .network import LatticeCorrelation
 
 
 def effective_front(H_l, psi_l):
@@ -21,12 +20,12 @@ def effective_front(H_l, psi_l):
 
 
 def effective_covariance(R_kl, front):
-    """Q_kl = E_l R_kl E_l^H, the covariance of the effective channel; R_kl itself without a front.
-    Broadcasts: a (K, L, n, n) stack with (L, m, n) fronts gives the (K, L, m, m) stack."""
+    """Q_kl = E_l (R_kl E_l^H), the covariance of the effective channel; R_kl itself without a front.
+    Broadcasts: a (K, L, n, n) stack with (L, m, n) fronts gives the (K, L, m, m) stack, and a (K, n, n)
+    stack with one (m, n) front, as the bank passes one AP's matrices, the (K, m, m) stack."""
     if front is None:
         return np.asarray(R_kl, dtype=complex)
-    x = front @ R_kl
-    return x @ front.conj().swapaxes(-1, -2)
+    return front @ (R_kl @ front.conj().swapaxes(-1, -2))
 
 
 def _copilot_rest(copilot_Q, m, cfg):
@@ -73,9 +72,9 @@ class EffectiveStats:
     since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
     slices that copy nothing.
 
-    R is a (K, L, n, n) array or a network.LatticeCorrelation. A lattice
-    stack with fronts forms E R E^H off its per-AP offset basis Phi and is
-    never gathered; every other case takes Q from effective_covariance.
+    R is a (K, L, n, n) array or a network.LatticeCorrelation. With fronts,
+    Q is effective_covariance of R[:, l] and E_l, AP by AP, so a lattice
+    stack is gathered one AP's K matrices at a time.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -87,10 +86,10 @@ class EffectiveStats:
         # pilots in UE order (K <= tau_p) make the gather t(k) a slice
         self._pilots = slice(K) if np.array_equal(self.pilot_of, np.arange(K)) else self.pilot_of
 
-        if fronts is not None and isinstance(R, LatticeCorrelation):
-            Q = R.effective_covariances(fronts)
-        else:
-            Q = effective_covariance(R, fronts)
+        if fronts is None:
+            Q = effective_covariance(R, None)
+        else:   # C-contiguous (K, L, m, m)
+            Q = np.stack([effective_covariance(R[:, l], fronts[l]) for l in range(L)], axis=1)
 
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
         gram = np.tensordot(tpp * onehot, Q, axes=1)

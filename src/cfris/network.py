@@ -75,24 +75,6 @@ class LatticeCorrelation:
             sums[on] += tables[k, on]
         return np.take(sums, self.flat, axis=-1)
 
-    def effective_covariances(self, fronts):
-        """Q_kl = E_l R_kl E_l^H = sum_o t_kl[o] Phi_l[o] for fronts E (L, m, n); C-contiguous (K, L, m, m).
-
-        Phi_l[o] = sum_{i - j = o} e_i e_j^H over E_l's columns is formed pair by pair for the half of
-        the offsets from 0 up; offset -o has flat index n_off - 1 - o and Phi[-o] = Phi[o]^H. Q is then
-        one (L, K, n_off) @ (L, n_off, m^2) product.
-        """
-        K, L, m = *self.shape[:2], fronts.shape[1]
-        tables = self.tables.reshape(K, L, -1)
-        n_off = tables.shape[-1]
-        phi = np.empty((L, n_off, m, m), dtype=complex)
-        for o in range(n_off // 2, n_off):
-            i, j = np.nonzero(self.flat == o)
-            phi[:, o] = fronts[..., i] @ fronts[..., j].conj().swapaxes(-1, -2)
-            phi[:, n_off - 1 - o] = phi[:, o].conj().swapaxes(-1, -2)
-        q = tables.transpose(1, 0, 2) @ phi.reshape(L, n_off, m * m)      # (L, K, m^2)
-        return np.ascontiguousarray(q.transpose(1, 0, 2)).reshape(K, L, m, m)
-
 
 def pathloss_beta(distance_m):
     """Linear path-loss gain at a given 3D distance (no shadowing)."""

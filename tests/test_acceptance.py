@@ -6,7 +6,9 @@ and receiver modules from ``cfris.oracles`` (also run by ``cfris oracle``);
 criterion 8 checks byte-identical reports under
 re-runs and different thread counts. Run with ``pytest -v`` (add ``-s`` to
 see the per-criterion lines as they complete). Criteria 1-4 carry the
-``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
+``slow`` marker, so ``pytest -m "not slow"`` leaves them out. Their detail
+lines also give a setup-level bootstrap 95 % interval of each statistic the
+criterion reads; it is reported, not asserted.
 """
 
 import filecmp
@@ -20,12 +22,27 @@ from cfris.config import SimConfig
 from cfris.experiment import ExperimentSpec, emit_report, run_experiment
 
 THREADS = min(4, os.cpu_count() or 1)
+BOOTSTRAP_DRAWS = 1000
 
 
 def report_line(num, description, ok, detail=""):
     tail = f" ({detail})" if detail else ""
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}{tail}", flush=True)
     assert ok, f"criterion {num}: {description}{tail}"
+
+
+def bootstrap_detail(run, fmt, **statistics):
+    """'name x [lo, hi]' per statistic of the scenarios' medians: x over the run's setups and [lo, hi] the 2.5 and 97.5
+    percentiles over setups drawn with replacement, the same draw for every scenario, from a fixed-seed rng."""
+    setups = len(run.se[run.scenarios[0]])
+    picks = np.random.default_rng(0).integers(setups, size=(BOOTSTRAP_DRAWS, setups))
+    parts = []
+    for name, statistic in statistics.items():
+        value = statistic(lambda scenario: np.median(run.se[scenario]))
+        lo, hi = np.percentile([statistic(lambda scenario: np.median(run.se[scenario][pick])) for pick in picks],
+                               [2.5, 97.5])
+        parts.append(f"{name} {value:{fmt}} [{lo:{fmt}}, {hi:{fmt}}]")
+    return "; setup bootstrap 95%: " + ", ".join(parts)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +86,9 @@ def test_criterion_1_median_improvement(dense_run):
         1,
         "median SE improvement of optimized phases over the small array is 55% +/- 20pp",
         ok,
-        f"improvement {100 * improvement:.1f}%, medians {opt:.3f} vs {base:.3f} bit/s/Hz",
+        f"improvement {100 * improvement:.1f}%, medians {opt:.3f} vs {base:.3f} bit/s/Hz"
+        + bootstrap_detail(dense_run, ".1f",
+                           improvement_pct=lambda med: 100 * (med("ris_optimized") / med("no_ris_small") - 1.0)),
     )
 
 
@@ -84,7 +103,11 @@ def test_criterion_2_dense_ordering(dense_run):
         2,
         "dense-deployment median ordering optimized > large array > random phases, optimized > small array",
         ok,
-        f"{opt:.3f} > {large:.3f} > {rand:.3f}, small {small:.3f}",
+        f"{opt:.3f} > {large:.3f} > {rand:.3f}, small {small:.3f}"
+        + bootstrap_detail(dense_run, ".3f",
+                           opt_minus_large=lambda med: med("ris_optimized") - med("no_ris_large"),
+                           large_minus_random=lambda med: med("no_ris_large") - med("ris_random"),
+                           opt_minus_small=lambda med: med("ris_optimized") - med("no_ris_small")),
     )
 
 
@@ -98,7 +121,10 @@ def test_criterion_3_crowded_ordering(crowded_run):
         3,
         "crowded 1x1 km ordering large array >= optimized >= small array at the median",
         ok,
-        f"{large:.3f} >= {opt:.3f} >= {small:.3f}",
+        f"{large:.3f} >= {opt:.3f} >= {small:.3f}"
+        + bootstrap_detail(crowded_run, ".3f",
+                           large_minus_opt=lambda med: med("no_ris_large") - med("ris_optimized"),
+                           opt_minus_small=lambda med: med("ris_optimized") - med("no_ris_small")),
     )
 
 
@@ -111,7 +137,8 @@ def test_criterion_4_sparse_ordering(sparse_run):
         4,
         "sparse 2x2 km: optimized phases reach the large-array median",
         ok,
-        f"{opt:.3f} >= {large:.3f}",
+        f"{opt:.3f} >= {large:.3f}"
+        + bootstrap_detail(sparse_run, ".3f", opt_minus_large=lambda med: med("ris_optimized") - med("no_ris_large")),
     )
 
 

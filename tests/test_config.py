@@ -146,6 +146,27 @@ class TestValidation:
         report = run_experiment(ExperimentSpec(cfg=cfg))
         assert all(np.isfinite(se).all() for se in report.se.values())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lengths", [
+        dict(min_distance_m=1e-300, ap_height_m=1e-300),
+        dict(ap_height_m=1e-300),
+        dict(min_distance_m=1e-84, ap_height_m=1e-84, area_side_m=1e-84),
+    ], ids=["clamp-1e-300", "height-1e-300", "all-1e-84"])
+    def test_path_loss_at_the_distance_clamp_rejected_by_name_or_runs(self, lengths):
+        # at a 1.4e-300 m clamp the path-loss gain overflows to inf and every SE would be non-finite, so
+        # validate() names min_distance_m; a 1e-300 m height over the 1 m clamp, and a 1.4e-84 m clamp
+        # (gain 4.8e304), run without a numpy warning to finite SE in every scenario
+        cfg = SimConfig(L=3, K=4, M=2, N=4, ris_rows=2, ris_cols=2, tau_p=2, mc_setups=1, mc_channel_realizations=2,
+                        **lengths)
+        try:
+            cfg.validate()
+        except ConfigError as err:
+            assert err.field == "min_distance_m" and lengths["min_distance_m"] == 1e-300
+            return
+        assert lengths.get("min_distance_m") != 1e-300
+        report = run_experiment(ExperimentSpec(cfg=cfg))
+        assert all(np.isfinite(se).all() for se in report.se.values())
+
     def test_int_valid_for_float_field(self):
         SimConfig(area_side_m=500, pilot_power_mw=100, noise_power_dbm=-94).validate()
 

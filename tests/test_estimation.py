@@ -12,7 +12,7 @@ from cfris.estimation import (
     error_covariance,
     mmse_estimator,
 )
-from cfris.experiment import _TAG_NETWORK, _rng
+from cfris.experiment import _TAG_NETWORK, _rng, front_channels
 from cfris.linalg import sample_complex_gaussian
 from cfris.network import generate_realization, ris_grid_positions, spatial_correlation_matrices
 from cfris.oracles import _copilot_reference as copilot_reference
@@ -59,15 +59,33 @@ class TestEffectiveCovariance:
         assert np.trace(q).real == pytest.approx(np.trace(r).real, rel=1e-12)
 
     def test_stack_is_the_per_pair_products(self):
-        # a (K, L, n, n) stack with (L, m, n) fronts, as the bank passes a hand-built R, gives
-        # each pair's E_l R_kl E_l^H bit for bit
+        # a (K, L, n, n) stack with (L, m, n) fronts, and one AP's (K, n, n) matrices with its front, as
+        # the bank passes them (a strided view of a hand-built R), give each pair's E_l R_kl E_l^H bit for bit
         rng = np.random.default_rng(2)
         r = np.stack([np.stack([random_psd(rng, 4) for _ in range(2)]) for _ in range(3)])
         e = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
         q = effective_covariance(r, e)
         assert q.shape == (3, 2, 3, 3)
+        for l in range(2):
+            assert np.array_equal(effective_covariance(r[:, l], e[l]), q[:, l])
         for k, l in np.ndindex(3, 2):
             assert np.array_equal(q[k, l], effective_covariance(r[k, l], e[l]))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+    def test_lattice_drop_against_extended_precision(self):
+        # all-LOS lattice drop on random phases, per AP as the bank forms it: each Q_kl within 1e-15 of
+        # max |Q_kl| of (E R) E^H in long double
+        cfg = SimConfig(L=12, K=8, tau_p=3, shadowing_std_db=0.0, rician_los_fraction=1.0)
+        R = spatial_correlation_matrices(generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0)), cfg,
+                                         ris_grid_positions(cfg))
+        phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=(cfg.L, cfg.N)))
+        fronts = effective_front(front_channels(cfg), phases)
+        wide = fronts.astype(np.clongdouble)
+        exact = (wide @ np.asarray(R).astype(np.clongdouble)) @ wide.conj().swapaxes(-1, -2)
+        for l in range(cfg.L):
+            q = effective_covariance(R[:, l], fronts[l])
+            error = np.abs(q - exact[:, l]).max(axis=(-1, -2))
+            assert (error <= 1e-15 * np.abs(exact[:, l]).max(axis=(-1, -2))).all()
 
 
 class TestMmseEstimate:
@@ -302,6 +320,22 @@ class TestEffectiveStats:
             tracemalloc.stop()
         assert stats.m == 16
         assert peak <= 5 * K * L * 16**2 * 16
+
+    @pytest.mark.parametrize("K, tau_p", [(6, 3), (4, 4)], ids=["copilots", "own-pilots"])
+    def test_lattice_bank_is_the_gathered_bank(self, K, tau_p):
+        # a lattice stack with fronts is gathered AP by AP into the same products as the gathered
+        # (K, L, n, n) array, so T and F agree bit for bit, with and without co-pilot UEs
+        cfg = SimConfig(L=5, K=K, M=2, N=9, tau_p=tau_p, ris_rows=3, ris_cols=3)
+        real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0))
+        pilot_of = assign_pilots_and_clusters(real, cfg).pilot_of
+        assert (np.bincount(pilot_of).max() > 1) == (K > tau_p)
+        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
+        phases = np.exp(2j * np.pi * np.random.default_rng(22).uniform(size=(cfg.L, cfg.N)))
+        fronts = effective_front(front_channels(cfg), phases)
+        lattice = EffectiveStats(R, fronts, pilot_of, cfg)
+        gathered = EffectiveStats(np.asarray(R), fronts, pilot_of, cfg)
+        assert np.array_equal(lattice.T, gathered.T)
+        assert np.array_equal(lattice.F, gathered.F)
 
     def test_no_front_dimensions(self):
         stats, *_ = self.build(fronts=False)

@@ -177,8 +177,8 @@ class TestRunExperiment:
 
     def test_ris_drop_never_holds_a_correlation_stack(self):
         # the RIS scenarios keep the N-grid correlation as offset tables: phase selection gathers one
-        # served sum per AP and the banks read E R E^H off the offset basis, so the drop's array peak
-        # stays below the bytes of one (K, L, N, N) complex stack
+        # served sum per AP and the banks gather one AP's K matrices at a time, so the drop's array
+        # peak stays below the bytes of one (K, L, N, N) complex stack
         cfg = SimConfig(L=40, K=12, tau_p=5, mc_setups=1, mc_channel_realizations=4)
         fronts = front_channels(cfg)
         tracemalloc.start()
