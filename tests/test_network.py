@@ -3,6 +3,7 @@ import pytest
 
 from cfris.association import assign_pilots_and_clusters
 from cfris.config import SimConfig
+from cfris.estimation import effective_covariance, effective_front
 from cfris.network import (
     LatticeCorrelation,
     NetworkRealization,
@@ -240,6 +241,34 @@ class TestSpatialCorrelation:
         real.ue_positions[1] = real.ap_positions[1]
         for elements in (ris_grid_positions(cfg), active_array_positions(cfg)):
             assert correlation_build_error(real, cfg, elements) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [
+        dict(),
+        dict(N=36, ris_rows=4, ris_cols=9),
+        dict(N=5, ris_rows=1, ris_cols=5, M=2),
+        dict(N=4, ris_rows=2, ris_cols=2, M=2),
+        dict(M=1),
+        dict(angular_spread_deg=0.0),
+    ], ids=["6x6", "4x9", "1x5", "2x2", "M=1", "angular_spread_deg=0.0"])
+    def test_lattice_effective_covariances_match_per_pair_reference(self, sizes):
+        # the gathered R, and E R E^H formed AP by AP off the lattice stack as the bank forms it, on
+        # random phases, against the per-pair build and product
+        cfg = SimConfig(**{"L": 5, "K": 4, **sizes})
+        rng = np.random.default_rng(11)
+        real = generate_realization(cfg, rng)
+        real.ue_positions[0] = real.ap_positions[0] + [0.3, -0.4]
+        real.ue_positions[1] = real.ap_positions[1]
+        fronts = effective_front(build_ap_ris_channels(cfg, [rng] * cfg.L),
+                                 np.exp(2j * np.pi * rng.uniform(size=(cfg.L, cfg.N))))
+        elements = ris_grid_positions(cfg)
+        assert correlation_build_error(real, cfg, elements) <= 1e-12
+        R = spatial_correlation_matrices(real, cfg, elements)
+        for l in range(cfg.L):
+            q = effective_covariance(R[:, l], fronts[l])
+            for k in range(cfg.K):
+                reference = effective_covariance(build_spatial_correlation(
+                    real.ue_positions[k], real.ap_positions[l], real.beta[k, l], cfg, elements), fronts[l])
+                assert np.linalg.norm(q[k] - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_oracle_check_catches_a_skew_in_the_gathered_r(self, monkeypatch):
         # the oracle's line passes on the build as it is, and fails once the lattice stack's gathered R
