@@ -21,8 +21,7 @@ def effective_front(H_l, psi_l):
 
 def effective_covariance(R_kl, front):
     """Q_kl = E_l (R_kl E_l^H), the covariance of the effective channel; R_kl itself without a front.
-    Broadcasts: a (K, L, n, n) stack with (L, m, n) fronts gives the (K, L, m, m) stack, and a (K, n, n)
-    stack with one (m, n) front, as the bank passes one AP's matrices, the (K, m, m) stack."""
+    Broadcasts over leading axes, as the bank passes one AP's (K, n, n) matrices with its (m, n) front."""
     if front is None:
         return np.asarray(R_kl, dtype=complex)
     return front @ (R_kl @ front.conj().swapaxes(-1, -2))
@@ -72,9 +71,8 @@ class EffectiveStats:
     since UE k < tau_p keeps pilot k, the per-UE pilot gathers are then
     slices that copy nothing.
 
-    R is a (K, L, n, n) array or a network.LatticeCorrelation. With fronts,
-    Q is effective_covariance of R[:, l] and E_l, AP by AP, so a lattice
-    stack is gathered one AP's K matrices at a time.
+    R is a (K, L, n, n) array or a network.LatticeCorrelation, read AP by
+    AP: Q[:, l] is effective_covariance of R[:, l] and E_l (or no front).
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -86,17 +84,15 @@ class EffectiveStats:
         # pilots in UE order (K <= tau_p) make the gather t(k) a slice
         self._pilots = slice(K) if np.array_equal(self.pilot_of, np.arange(K)) else self.pilot_of
 
-        if fronts is None:
-            Q = effective_covariance(R, None)
-        else:   # C-contiguous (K, L, m, m)
-            Q = np.stack([effective_covariance(R[:, l], fronts[l]) for l in range(L)], axis=1)
+        Q = np.empty((K, L, m, m), dtype=complex)
+        for l in range(L):
+            Q[:, l] = effective_covariance(R[:, l], None if fronts is None else fronts[l])
 
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
         gram = np.tensordot(tpp * onehot, Q, axes=1)
         gram += cfg.noise_power_w * np.eye(m)
         # Each (K, L, m, m) stack is dropped once used and the later steps work in place, so a
-        # bank holds at most three at a time, four with co-pilots (a test pins five at toy size,
-        # the gathered Q included). Q may be the caller's R, so nothing writes into it.
+        # bank holds at most three at a time, four with co-pilots (a test pins five at toy size).
         factor = np.linalg.cholesky(gram)
         del gram
         linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)

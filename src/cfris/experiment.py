@@ -230,10 +230,9 @@ def _add_chunk_log_sinr(sum_log, stats, plan, w):
 
 def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
     """All scenarios for one network realization; returns (n_scen, K). A layout's correlation
-    stack is built for the first scenario that reads it and freed after the last one's bank."""
+    stack is built for the first scenario that reads it and kept until the drop ends."""
     real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, setup_idx))
     assoc = assign_pilots_and_clusters(real, cfg)
-    layouts = [_SCENARIO_TABLE[name][0] for name in scenarios]
     stacks = {}
     out = np.empty((len(scenarios), cfg.K))
     for j, name in enumerate(scenarios):
@@ -241,15 +240,13 @@ def _run_setup(cfg, scenarios, combiner, fronts, setup_idx):
         scen_id = SCENARIOS.index(name)
         if layout not in stacks:
             stacks[layout] = spatial_correlation_matrices(real, cfg, layout(cfg))
-        r = stacks[layout] if layout in layouts[j + 1:] else stacks.pop(layout)
         front = None
         if mode is not None:
-            psi = select_long_term_config(ChannelStats(r, fronts), assoc, cfg, mode=mode,
+            psi = select_long_term_config(ChannelStats(stacks[layout], fronts), assoc, cfg, mode=mode,
                                           rng=_rng(cfg.seed, _TAG_PHASES, setup_idx, scen_id))
             front = effective_front(fronts, psi)
         try:
-            stats = EffectiveStats(r, front, assoc.pilot_of, cfg)
-            del r
+            stats = EffectiveStats(stacks[layout], front, assoc.pilot_of, cfg)
             out[j] = block_batched_se(stats, assoc, cfg, _rng(cfg.seed, _TAG_BLOCKS, setup_idx, scen_id),
                                       combiner=combiner)
         except np.linalg.LinAlgError as exc:   # a singular matrix, from the drop's values
@@ -349,10 +346,11 @@ def load_report(out_dir):
     ``config`` is the manifest read by load_config, so it is validated, and
     it fixes every scenario's grid at (mc_setups, K); the scenarios are
     those of ``se_samples.csv`` in order of first appearance. A row with a
-    missing or unparsable field, or off the grid, raises CfrisError naming
-    its line and scenario; unless each scenario's (realization, ue) cells
-    cover the grid exactly once, CfrisError names the scenario and the
-    first missing or repeated cell.
+    missing or unparsable field, an SE that is not finite and non-negative,
+    or a cell off the grid raises CfrisError naming its line and scenario;
+    unless each scenario's (realization, ue) cells cover the grid exactly
+    once, CfrisError names the scenario and the first missing or repeated
+    cell.
     """
     config = load_config(os.path.join(out_dir, "manifest.txt"))
     setups, ues = config.mc_setups, config.K
@@ -363,6 +361,8 @@ def load_report(out_dir):
         for row in reader:
             try:   # a missing column raises KeyError, a short row reads None
                 name, entry = row["scenario"], (int(row["realization"]), int(row["ue"]), float(row["se"]))
+                if not 0 <= entry[2] < float("inf"):
+                    raise ValueError(f"SE {row['se']} is not a finite non-negative number")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CfrisError(f"{data_path}: row {reader.line_num}, scenario {row.get('scenario')}: "
                                  f"malformed sample ({exc!r})") from exc

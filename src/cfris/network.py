@@ -10,7 +10,7 @@ Both element sets (the RIS grid and the active array) are uniform y-z
 lattices, so R_kl[i, j] depends only on the integer offset of element i
 from element j: ``spatial_correlation_matrices`` builds one table over the
 offsets per (UE, AP) pair, batched over APs, and keeps the tables as a
-``LatticeCorrelation``: only the no-RIS banks gather the whole stack.
+``LatticeCorrelation``, which is read by indexing.
 ``build_spatial_correlation`` is the per-pair reference.
 """
 
@@ -51,7 +51,7 @@ class LatticeCorrelation:
 
     ``tables`` (K, L, 2 cols - 1, 2 rows - 1) holds beta_kl T_kl over the offsets and ``flat`` (n, n) the
     flat offset index of each element pair: R_kl[i, j] = tables[k, l].flat[flat[i, j]]. An index over
-    (K, L), such as R[k, l], and np.asarray gather the matrices.
+    (K, L), such as R[k, l] or R[:, l], gathers the matrices.
     """
 
     def __init__(self, tables, flat):
@@ -60,11 +60,6 @@ class LatticeCorrelation:
 
     def __getitem__(self, key):
         return np.take(self.tables.reshape(*self.shape[:2], -1)[key], self.flat, axis=-1)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a lattice correlation stack cannot be viewed without a copy")
-        return self[:, :].astype(dtype or complex, copy=False)
 
     def served_sums(self, serving_matrix):
         """B_l, the sum of AP l's served UEs' R_kl, for every AP; (L, n, n). The tables are added in UE

@@ -81,7 +81,7 @@ class TestEffectiveCovariance:
         phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=(cfg.L, cfg.N)))
         fronts = effective_front(front_channels(cfg), phases)
         wide = fronts.astype(np.clongdouble)
-        exact = (wide @ np.asarray(R).astype(np.clongdouble)) @ wide.conj().swapaxes(-1, -2)
+        exact = (wide @ R[:, :].astype(np.clongdouble)) @ wide.conj().swapaxes(-1, -2)
         for l in range(cfg.L):
             q = effective_covariance(R[:, l], fronts[l])
             error = np.abs(q - exact[:, l]).max(axis=(-1, -2))
@@ -321,19 +321,20 @@ class TestEffectiveStats:
         assert stats.m == 16
         assert peak <= 5 * K * L * 16**2 * 16
 
-    @pytest.mark.parametrize("K, tau_p", [(6, 3), (4, 4)], ids=["copilots", "own-pilots"])
-    def test_lattice_bank_is_the_gathered_bank(self, K, tau_p):
-        # a lattice stack with fronts is gathered AP by AP into the same products as the gathered
-        # (K, L, n, n) array, so T and F agree bit for bit, with and without co-pilot UEs
+    @pytest.mark.parametrize("K, tau_p, with_fronts", [(6, 3, True), (4, 4, True), (6, 3, False)],
+                             ids=["copilots", "own-pilots", "no-front"])
+    def test_lattice_bank_is_the_gathered_bank(self, K, tau_p, with_fronts):
+        # a lattice stack is gathered AP by AP into the same products as the gathered (K, L, n, n)
+        # array, so T and F agree bit for bit, with and without co-pilot UEs and without fronts
         cfg = SimConfig(L=5, K=K, M=2, N=9, tau_p=tau_p, ris_rows=3, ris_cols=3)
         real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0))
         pilot_of = assign_pilots_and_clusters(real, cfg).pilot_of
         assert (np.bincount(pilot_of).max() > 1) == (K > tau_p)
         R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
         phases = np.exp(2j * np.pi * np.random.default_rng(22).uniform(size=(cfg.L, cfg.N)))
-        fronts = effective_front(front_channels(cfg), phases)
+        fronts = effective_front(front_channels(cfg), phases) if with_fronts else None
         lattice = EffectiveStats(R, fronts, pilot_of, cfg)
-        gathered = EffectiveStats(np.asarray(R), fronts, pilot_of, cfg)
+        gathered = EffectiveStats(R[:, :], fronts, pilot_of, cfg)
         assert np.array_equal(lattice.T, gathered.T)
         assert np.array_equal(lattice.F, gathered.F)
 

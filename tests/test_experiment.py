@@ -7,7 +7,6 @@ import threading
 import time
 import tracemalloc
 import types
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from cfris.experiment import (
     load_report,
     run_experiment,
 )
-from cfris.network import PATHLOSS_EXPONENT_DB, generate_realization
+from cfris.network import PATHLOSS_EXPONENT_DB, active_array_positions, generate_realization, ris_grid_positions
 from cfris.oracles import ALL_CHECKS, _equivalence_drop, _kernel_and_reference
 from exact_values import pmmse_se
 
@@ -154,26 +153,35 @@ class TestRunExperiment:
         for name in order:
             assert np.array_equal(full.se[name], subset.se[name])
 
-    def test_correlation_stack_freed_after_its_last_reader(self, monkeypatch):
-        # a layout's stack lives until the bank of the last scenario that reads it: the
-        # N-grid through no_ris_large's bank, the M-array through no_ris_small's
-        stacks, alive = [], []
-        build, kernel = cfris.experiment.spatial_correlation_matrices, cfris.experiment.block_batched_se
+    def test_one_stack_per_layout_reaches_every_reader(self, monkeypatch):
+        # a drop builds each layout's stack once, the N-grid first, and that one object reaches both
+        # phase selections and the no_ris_large bank: a traced run names that bank's kernel by its identity
+        built, selected, banks = [], [], []
+        build, select = cfris.experiment.spatial_correlation_matrices, cfris.experiment.select_long_term_config
 
-        def tracked_build(*args):
-            r = build(*args)
-            stacks.append(weakref.ref(r))
-            return r
+        def tracked_build(real, cfg, elements):
+            built.append((elements, build(real, cfg, elements)))
+            return built[-1][1]
 
-        def counting_kernel(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in stacks))
-            return kernel(*args, **kwargs)
+        def tracked_select(stats, *args, **kwargs):
+            selected.append(stats.R)
+            return select(stats, *args, **kwargs)
+
+        def tracked_bank(R, *args):
+            banks.append(R)
+            return EffectiveStats(R, *args)
 
         monkeypatch.setattr(cfris.experiment, "spatial_correlation_matrices", tracked_build)
-        monkeypatch.setattr(cfris.experiment, "block_batched_se", counting_kernel)
+        monkeypatch.setattr(cfris.experiment, "select_long_term_config", tracked_select)
+        monkeypatch.setattr(cfris.experiment, "EffectiveStats", tracked_bank)
         cfg = tiny_cfg()
         _run_setup(cfg, SCENARIOS, "pmmse", front_channels(cfg), 0)
-        assert alive == [1, 1, 1, 0]
+        (grid_elements, grid), (array_elements, array) = built
+        assert np.array_equal(grid_elements, ris_grid_positions(cfg))
+        assert np.array_equal(array_elements, active_array_positions(cfg))
+        assert len(selected) == 2 and all(r is grid for r in selected)
+        assert [r is grid for r in banks] == [True, True, False, True]
+        assert banks[2] is array
 
     def test_ris_drop_never_holds_a_correlation_stack(self):
         # the RIS scenarios keep the N-grid correlation as offset tables: phase selection gathers one
@@ -699,7 +707,9 @@ class TestReportIo:
         (lambda rows: [rows[0].replace(",se", "")] + [row.rsplit(",", 1)[0] + "\n" for row in rows[1:]],
          "row 2, scenario no_ris_small"),
         (lambda rows: rows[:4] + [rows[4].rsplit(",", 1)[0] + "\n"] + rows[5:], "row 5, scenario no_ris_small"),
-    ], ids=["non_integer_realization", "column_missing", "field_missing"])
+        *[(lambda rows, se=se: rows[:3] + [rows[3].rsplit(",", 1)[0] + f",{se}\n"] + rows[4:],
+           "row 4, scenario no_ris_small") for se in ("nan", "inf", "-1.0")],
+    ], ids=["non_integer_realization", "column_missing", "field_missing", "se_nan", "se_inf", "se_negative"])
     def test_malformed_row_named(self, tmp_path, edit, problem):
         from cfris.experiment import SeReport
 

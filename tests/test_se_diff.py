@@ -68,3 +68,18 @@ def test_one_ulp_move_is_reported(tmp_path):
     # only the new tree's threads=1 run moved, so its threads 1 and 2 files differ
     assert lines[4] == "  threads 1 and 2 files: base identical, new DIFFERENT"
     assert status == 1
+
+
+def test_line_counts(tmp_path):
+    # every line of the package's .py files counts, and code lines skip blank and comment lines;
+    # other files do not count
+    for side, body in (("base", "import os\n\n# a comment\nx = 1  # trailing\n"), ("new", "import os\n   \n")):
+        package = tmp_path / side / "src" / "cfris"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(body)
+        (package / "b.py").write_text('"""Doc."""\n    # indented comment\n')
+        (package / "notes.txt").write_text("not\ncounted\n")
+    assert se_diff.line_counts(str(tmp_path / "base")) == (6, 3)
+    assert se_diff.line_counts(str(tmp_path / "new")) == (4, 2)
+    assert se_diff.line_count_summary(str(tmp_path / "base"), str(tmp_path / "new")) == \
+        "src/cfris lines: base 6 (3 code), new 4 (2 code), change -2 (-1 code)"

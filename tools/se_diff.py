@@ -12,7 +12,9 @@ otherwise the largest relative SE move with its seed, setup and UE. Per
 config it also says whether the two trees' threads=1 runs wrote identical
 files (the manifest and CDFs as well as the samples), and whether threads 1
 and 2 wrote identical files in each tree. The exit status is 1 when any SE
-moved or any of those files differ, else 0.
+moved or any of those files differ, else 0. Above the SE verdict it prints
+both trees' ``src/cfris`` line counts, all lines and those neither blank
+nor a comment, so a change's line count is quoted beside its SE check.
 
 Standard library only.
 """
@@ -114,6 +116,26 @@ def same_files(a, b):
     return not mismatch and not errors
 
 
+def line_counts(tree):
+    """(all lines, lines neither blank nor a comment) of the .py files in ``tree``'s src/cfris."""
+    package = os.path.join(tree, "src", "cfris")
+    lines = code = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                for line in map(str.strip, handle):
+                    lines += 1
+                    code += bool(line) and not line.startswith("#")
+    return lines, code
+
+
+def line_count_summary(base_tree, new_tree):
+    """One line with both trees' src/cfris line counts."""
+    (base, base_code), (new, new_code) = line_counts(base_tree), line_counts(new_tree)
+    return (f"src/cfris lines: base {base:,} ({base_code:,} code), new {new:,} ({new_code:,} code), "
+            f"change {new - base:+,} ({new_code - base_code:+,} code)")
+
+
 def summarize(base_root, new_root, configs=CONFIGS, seeds=SEEDS):
     """One block of lines per config: each scenario's SE move, the base and new files check, then the
     threads 1 and 2 check; and the exit status, 1 if any SE moved or any of those files differ, else 0."""
@@ -150,6 +172,7 @@ def main(argv=None):
         roots = {side: os.path.join(scratch, side) for side in ("base", "new")}
         run_tree(base_tree, roots["base"])
         run_tree(ROOT, roots["new"])
+        print(line_count_summary(base_tree, ROOT))
         print(f"SE of {args.revision} (base) against the working tree (new), seeds "
               f"{', '.join(map(str, SEEDS))}, compared at threads 1")
         lines, status = summarize(roots["base"], roots["new"])
