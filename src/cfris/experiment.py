@@ -220,9 +220,8 @@ def _add_chunk_log_sinr(sum_log, stats, plan, w):
             eps = np.sum(np.abs(p[:, others] @ y) ** 2, axis=1)   # the non-partners' power |(P y)_i|^2
             ub = (w @ y).reshape(b, c_inv.shape[0], m, -1)      # u = W y = C^H v for the members' combiners v
             eps += np.sum(ub.conj() * (delta_w @ ub), axis=(1, 2)).real
-        with np.errstate(invalid="ignore"):   # a Gram that underflows to 0 gives q_k = 0: SINR 0, not 0/0
-            sinr = q_k**2 / (y_k * q_k + eps)
-        sinr[q_k == 0] = 0.0
+        # a Gram that underflows to 0 gives q_k = 0: SINR 0, not 0/0
+        sinr = np.divide(q_k**2, y_k * q_k + eps, out=np.zeros_like(q_k), where=q_k != 0)
         log_sinr[:, members] = np.log2(1.0 + sinr)
     for row in log_sinr:   # in block order, so the sum is the same for any chunk size
         sum_log += row
@@ -301,7 +300,7 @@ def _run_setups(job, n, workers):
 
 
 def emit_report(report, out_dir):
-    """Write the sample CSV, one CDF CSV per scenario, and the manifest.
+    """Write the sample CSV, one CDF CSV per scenario, and the manifest; remove any other scenario's CDF CSV.
 
     Floats are serialized with repr, so parsing the files reproduces the
     in-memory report exactly; the manifest is a config file that
@@ -309,6 +308,9 @@ def emit_report(report, out_dir):
     written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
+    for stale in (os.path.join(out_dir, f"cdf_{name}.csv") for name in SCENARIOS if name not in report.scenarios):
+        if os.path.exists(stale):   # left by an earlier run into out_dir
+            os.remove(stale)
     paths = []
 
     manifest_path = os.path.join(out_dir, "manifest.txt")

@@ -79,9 +79,8 @@ def hermitian_eig(a):
     Hermitian matrix (symmetrized internally)."""
     a = np.asarray(a, dtype=complex)
     a = 0.5 * (a + a.conj().T)
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    vals, vecs = np.linalg.eigh(a)   # ascending
+    return vals[::-1], vecs[:, ::-1]
 
 
 def psd_sqrt(cov):

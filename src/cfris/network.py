@@ -264,6 +264,5 @@ def build_ap_ris_channels(cfg, rngs):
     g = np.stack([rng.standard_normal(los.shape) + 1j * rng.standard_normal(los.shape) for rng in rngs])
     g /= np.sqrt(2.0)
     g = g - u_los * np.sum(u_los.conj() * g, axis=1, keepdims=True)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    u_nlos = g / np.where(norms > 0, norms, 1.0)
+    u_nlos = g / np.linalg.norm(g, axis=1, keepdims=True)
     return np.sqrt(alpha) * u_los + np.sqrt(1.0 - alpha) * u_nlos

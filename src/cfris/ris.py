@@ -60,8 +60,8 @@ def constrained_power_iteration(A):
     entry with w_n = 0 maps to 1), and forms one product A psi for the
     candidate: it gives the candidate's objective and is the next step's w.
     Exits early once the relative objective gain drops below
-    RELATIVE_GAIN_EXIT. If A psi vanishes (possible when A = 0) the current
-    iterate is returned unchanged.
+    RELATIVE_GAIN_EXIT. For PSD A the objective never falls, and psi^H A psi = 0 implies A psi = 0, so
+    A psi can vanish only at the all-ones start: psi maps to all ones again and the gain exit returns it.
     """
     n = A.shape[0]
     psi = np.ones(n, dtype=complex)
@@ -70,8 +70,6 @@ def constrained_power_iteration(A):
     for _ in range(DEFAULT_ITERATIONS):
         mag = np.abs(w)
         if not mag.all():
-            if not mag.any():
-                break
             zero = mag == 0
             w[zero], mag[zero] = 1.0, 1.0
         candidate = w / mag

@@ -642,6 +642,20 @@ class TestReportIo:
         for name in SCENARIOS:
             assert np.array_equal(loaded.se[name], report.se[name])
 
+    def test_rerun_replaces_every_file_of_the_earlier_run(self, tmp_path):
+        from cfris.experiment import SeReport
+
+        out = str(tmp_path / "out")
+        rng = np.random.default_rng(0)
+        emit_report(SeReport(list(SCENARIOS), {n: rng.uniform(size=(2, 3)) for n in SCENARIOS}, tiny_cfg(seed=1)), out)
+        (tmp_path / "out" / "notes.txt").write_text("not a report file\n")
+        second = SeReport(["no_ris_small"], {"no_ris_small": rng.uniform(size=(2, 3))}, tiny_cfg(seed=2))
+        emit_report(second, out)   # the three seed-1 CDFs of the other scenarios go; a foreign file stays
+        assert sorted(os.listdir(out)) == ["cdf_no_ris_small.csv", "manifest.txt", "notes.txt", "se_samples.csv"]
+        loaded = load_report(out)
+        assert loaded.config == second.config and loaded.scenarios == ["no_ris_small"]
+        assert np.array_equal(loaded.se["no_ris_small"], second.se["no_ris_small"])
+
     def test_manifest_contains_config(self, tmp_path):
         report = run_experiment(
             ExperimentSpec(cfg=tiny_cfg(seed=77), scenarios=("no_ris_small",))

@@ -55,6 +55,13 @@ class TestHermitianEig:
             assert np.linalg.norm((u * vals) @ u.conj().T - a) <= 1e-10 * np.linalg.norm(a)
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * np.sqrt(n)
 
+    def test_is_eigh_reversed_bit_for_bit(self):
+        a = random_hermitian(np.random.default_rng(2), 9)
+        vals, vecs = hermitian_eig(a)
+        ref_vals, ref_vecs = np.linalg.eigh(a)   # ascending
+        assert np.array_equal(vals, ref_vals[::-1])
+        assert np.array_equal(vecs, ref_vecs[:, ::-1])
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):   # numpy's symmetrisation; LinAlgError is a ValueError too
             hermitian_eig(np.ones((2, 3)))

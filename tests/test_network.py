@@ -362,6 +362,10 @@ class TestFrontChannel:
         a = build_ap_ris_channels(cfg, [np.random.default_rng(3)])[0]
         b = build_ap_ris_channels(cfg, [np.random.default_rng(4)])[0]
         assert np.array_equal(a, b)  # no randomness left
+        antennas = active_array_positions(cfg, x_offset=cfg.box_depth_m)
+        los = los_matrix(antennas, ris_grid_positions(cfg), cfg.wavelength_m)
+        assert cfg.M >= 2   # the NLOS draw is made and weighted by 0
+        assert np.array_equal(a, los / np.linalg.norm(los, axis=0, keepdims=True))
 
     def test_deterministic_per_seed(self):
         cfg = SimConfig()

@@ -80,7 +80,17 @@ class TestPowerIteration:
         assert np.allclose(np.abs(psi), 1.0, atol=1e-12)
 
     def test_zero_matrix_keeps_start(self):
-        psi = constrained_power_iteration(np.zeros((4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = constrained_power_iteration(np.zeros((4, 4)))
+        assert np.array_equal(psi, np.ones(4, dtype=complex))
+
+    def test_nonzero_matrix_that_annihilates_the_start_keeps_it(self):
+        # A = v v^H != 0 with A 1 = 0: A psi vanishes at the all-ones start, and the gain exit returns it
+        v = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            psi = constrained_power_iteration(np.outer(v, v.conj()))
         assert np.array_equal(psi, np.ones(4, dtype=complex))
 
     def test_zero_block_entries_project_to_one(self):

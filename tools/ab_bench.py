@@ -162,7 +162,7 @@ def main(argv=None):
             peaks = {side: drop_peak_mib(tree, workload, args.seeds[0])
                      for side, tree in (("base", base_tree), ("new", ROOT))}
             print(f"{workload} drop 0 tracemalloc peak (seed {args.seeds[0]}): "
-                  f"base {peaks['base']:.1f} MiB -> new {peaks['new']:.1f} MiB", flush=True)
+                  f"base {peaks['base']:.2f} MiB -> new {peaks['new']:.2f} MiB", flush=True)
             results = []
             for i in range(args.pairs):
                 seed = args.seeds[i % len(args.seeds)]
