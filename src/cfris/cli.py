@@ -2,9 +2,8 @@
 
 import argparse
 import sys
-from dataclasses import asdict
 
-from .config import load_config
+from .config import config_text, load_config
 from .exceptions import CfrisError
 from .experiment import COMBINERS, SCENARIOS, ExperimentSpec, emit_report, run_experiment
 
@@ -60,8 +59,8 @@ def main(argv=None):
         if args.command == "validate":
             cfg = _load(args)
             print("configuration ok")
-            for key, value in asdict(cfg).items():
-                print(f"  {key} = {value}")
+            for line in config_text(cfg).splitlines():
+                print(f"  {line}")
             return 0
         if args.command == "oracle":
             from .oracles import run_all

@@ -155,9 +155,9 @@ def _parse_value(name, raw):
 def parse_config_text(text):
     """Parse flat ``key = value`` lines into a field dict.
 
-    ``#`` starts a comment; blank lines are ignored. Unknown keys error.
+    ``#`` starts a comment; blank lines are ignored. An unknown key, or a key given twice, errors.
     """
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -165,8 +165,15 @@ def parse_config_text(text):
         if "=" not in body:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {body!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        values[key] = _parse_value(key, raw)
+        if key in lines:
+            raise ConfigError(key, f"given twice, on lines {lines[key]} and {lineno}")
+        values[key], lines[key] = _parse_value(key, raw), lineno
     return values
+
+
+def config_text(cfg):
+    """One ``key = value`` line per field of cfg, in field order; parse_config_text reads it back."""
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def load_config(path=None, overrides=None):

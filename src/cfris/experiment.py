@@ -13,12 +13,12 @@ import numbers
 import os
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .association import assign_pilots_and_clusters
-from .config import load_config
+from .config import config_text, load_config
 from .estimation import EffectiveStats, effective_front
 from .exceptions import CfrisError, ConfigError, ModelError
 from .linalg import hermitian_gram, one_blas_thread, tril_inv
@@ -311,35 +311,25 @@ def emit_report(report, out_dir):
     for stale in (os.path.join(out_dir, f"cdf_{name}.csv") for name in SCENARIOS if name not in report.scenarios):
         if os.path.exists(stale):   # left by an earlier run into out_dir
             os.remove(stale)
-    paths = []
-
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        for key, value in asdict(report.config).items():
-            handle.write(f"{key} = {value}\n")
-    paths.append(manifest_path)
-
-    data_path = os.path.join(out_dir, "se_samples.csv")
-    with open(data_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "realization", "ue", "se"])
-        for name in report.scenarios:
-            values = report.se[name]
-            for setup in range(values.shape[0]):
-                for ue in range(values.shape[1]):
-                    writer.writerow([name, setup, ue, repr(float(values[setup, ue]))])
-    paths.append(data_path)
-
+        handle.write(config_text(report.config))
+    paths = [manifest_path, _write_csv(
+        os.path.join(out_dir, "se_samples.csv"), ["scenario", "realization", "ue", "se"],
+        ([name, setup, ue, repr(float(value))] for name in report.scenarios
+         for (setup, ue), value in np.ndenumerate(report.se[name])))]
     for name in report.scenarios:
-        cdf_path = os.path.join(out_dir, f"cdf_{name}.csv")
         values, probs = report.cdf(name)
-        with open(cdf_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["se", "cdf"])
-            for value, prob in zip(values, probs):
-                writer.writerow([repr(float(value)), repr(float(prob))])
-        paths.append(cdf_path)
+        paths.append(_write_csv(os.path.join(out_dir, f"cdf_{name}.csv"), ["se", "cdf"],
+                                ([repr(float(value)), repr(float(prob))] for value, prob in zip(values, probs))))
     return paths
+
+
+def _write_csv(path, header, rows):
+    """Write a CSV file at path, the header row and then rows; returns path."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return path
 
 
 def load_report(out_dir):
@@ -348,8 +338,8 @@ def load_report(out_dir):
     ``config`` is the manifest read by load_config, so it is validated, and
     it fixes every scenario's grid at (mc_setups, K); the scenarios are
     those of ``se_samples.csv`` in order of first appearance. A row with a
-    missing or unparsable field, an SE that is not finite and non-negative,
-    or a cell off the grid raises CfrisError naming its line and scenario;
+    missing or unparsable field, a scenario outside SCENARIOS, an SE that is not
+    finite and non-negative, or a cell off the grid raises CfrisError naming its line and scenario;
     unless each scenario's (realization, ue) cells cover the grid exactly
     once, CfrisError names the scenario and the first missing or repeated
     cell.
@@ -363,6 +353,8 @@ def load_report(out_dir):
         for row in reader:
             try:   # a missing column raises KeyError, a short row reads None
                 name, entry = row["scenario"], (int(row["realization"]), int(row["ue"]), float(row["se"]))
+                if name not in SCENARIOS:
+                    raise ValueError(f"unknown scenario {name!r}")
                 if not 0 <= entry[2] < float("inf"):
                     raise ValueError(f"SE {row['se']} is not a finite non-negative number")
             except (KeyError, TypeError, ValueError) as exc:

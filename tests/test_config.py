@@ -216,6 +216,10 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("just some words")
 
+    def test_key_given_twice(self):
+        with pytest.raises(ConfigError, match="K: given twice, on lines 1 and 3"):
+            parse_config_text("K = 10\nL = 4\nK = 20")
+
 
 class TestLoadConfig:
     def test_defaults_only(self):

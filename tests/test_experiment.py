@@ -7,7 +7,7 @@ import threading
 import time
 import tracemalloc
 import types
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import cfris.experiment
 from cfris.association import Association
 from cfris.cli import main as cli_main
-from cfris.config import SimConfig, load_config
+from cfris.config import SimConfig, config_text, load_config, parse_config_text
 from cfris.estimation import EffectiveStats
 from cfris.exceptions import CfrisError, ConfigError, ModelError
 from cfris.experiment import (
@@ -24,6 +24,7 @@ from cfris.experiment import (
     COMBINERS,
     SCENARIOS,
     ExperimentSpec,
+    SeReport,
     _rng,
     _run_setup,
     emit_report,
@@ -643,8 +644,6 @@ class TestReportIo:
             assert np.array_equal(loaded.se[name], report.se[name])
 
     def test_rerun_replaces_every_file_of_the_earlier_run(self, tmp_path):
-        from cfris.experiment import SeReport
-
         out = str(tmp_path / "out")
         rng = np.random.default_rng(0)
         emit_report(SeReport(list(SCENARIOS), {n: rng.uniform(size=(2, 3)) for n in SCENARIOS}, tiny_cfg(seed=1)), out)
@@ -686,8 +685,6 @@ class TestReportIo:
     ], ids=["row_removed", "row_repeated", "negative_index", "huge_realization", "last_realization_removed",
             "last_ue_removed"])
     def test_samples_must_cover_the_grid_once(self, tmp_path, edit, problem):
-        from cfris.experiment import SeReport
-
         se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
         emit_report(SeReport(["no_ris_small"], se, tiny_cfg()), str(tmp_path))
         path = tmp_path / "se_samples.csv"
@@ -697,8 +694,6 @@ class TestReportIo:
             load_report(str(tmp_path))
 
     def test_huge_manifest_grid_names_its_first_missing_cell(self, tmp_path):
-        from cfris.experiment import SeReport
-
         emit_report(SeReport(["no_ris_small"], {"no_ris_small": np.arange(6.0).reshape(2, 3)},
                              tiny_cfg(mc_setups=10**13)), str(tmp_path))
         # a grid of 1e13 x 3 cells: the walk stops at the first missing one, so no cell is counted beyond it
@@ -706,8 +701,6 @@ class TestReportIo:
             load_report(str(tmp_path))
 
     def test_invalid_manifest_named(self, tmp_path):
-        from cfris.experiment import SeReport
-
         emit_report(SeReport(["no_ris_small"], {"no_ris_small": np.arange(6.0).reshape(2, 3)}, tiny_cfg()),
                     str(tmp_path))
         path = tmp_path / "manifest.txt"
@@ -723,10 +716,11 @@ class TestReportIo:
         (lambda rows: rows[:4] + [rows[4].rsplit(",", 1)[0] + "\n"] + rows[5:], "row 5, scenario no_ris_small"),
         *[(lambda rows, se=se: rows[:3] + [rows[3].rsplit(",", 1)[0] + f",{se}\n"] + rows[4:],
            "row 4, scenario no_ris_small") for se in ("nan", "inf", "-1.0")],
-    ], ids=["non_integer_realization", "column_missing", "field_missing", "se_nan", "se_inf", "se_negative"])
+        (lambda rows: rows[:2] + [rows[2].replace("no_ris_small", "ris_perfect")] + rows[3:],
+         "row 3, scenario ris_perfect"),
+    ], ids=["non_integer_realization", "column_missing", "field_missing", "se_nan", "se_inf", "se_negative",
+            "unknown_scenario"])
     def test_malformed_row_named(self, tmp_path, edit, problem):
-        from cfris.experiment import SeReport
-
         se = {"no_ris_small": np.arange(6.0).reshape(2, 3)}
         emit_report(SeReport(["no_ris_small"], se, tiny_cfg()), str(tmp_path))
         path = tmp_path / "se_samples.csv"
@@ -807,6 +801,19 @@ class TestCli:
         code = cli_main(["validate", "--config", self.write_cfg(tmp_path)])
         assert code == 0
         assert "configuration ok" in capsys.readouterr().out
+
+    def test_validate_prints_the_manifest_lines(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:   # a float, an int and the string field off their defaults
+            handle.write("area_side_m = 123.25\nseed = 77\narray_geometry = planar\n")
+        cfg = load_config(path)
+        assert (cfg.area_side_m, cfg.seed, cfg.array_geometry) == (123.25, 77, "planar")
+        assert parse_config_text(config_text(cfg)) == asdict(cfg)
+        emit_report(SeReport(["no_ris_small"], {"no_ris_small": np.ones((2, 3))}, cfg), str(tmp_path / "out"))
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert cli_main(["validate", "--config", path]) == 0
+        indented = "".join(f"  {line}\n" for line in manifest.splitlines())
+        assert capsys.readouterr().out == "configuration ok\n" + indented
 
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -49,6 +49,9 @@ CONFIGS = {
                        ("no_ris_small", "no_ris_large"), "pmmse"),
     # one AP, so one UE group that shares pilots: its W is written over the gathered copy of the draws
     "lone-shared-pilots": (dict(L=1, K=4, tau_p=2, mc_setups=2, mc_channel_realizations=40), _ALL, "pmmse"),
+    # the only config on the planar active array: M = 6 as 2 x 3 elements
+    "planar": (dict(L=12, K=8, M=6, array_geometry="planar", mc_setups=2, mc_channel_realizations=20), _ALL,
+               "pmmse"),
 }
 SEEDS = (1, 2, 3)
 THREADS = (1, 2)
