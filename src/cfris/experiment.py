@@ -14,6 +14,7 @@ import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -328,7 +329,7 @@ def emit_report(report, out_dir):
 def _write_csv(path, header, rows):
     """Write a CSV file at path, the header row and then rows; returns path."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle).writerows([header, *rows])
+        csv.writer(handle).writerows(chain([header], rows))
     return path
 
 
