@@ -123,21 +123,15 @@ class EffectiveStats:
         self.F, self.T = f, q_lh
 
     def sample_pilot_statistics(self, rng, blocks):
-        """White draws w ~ CN(0, I), independent across (block, pilot, AP), in a fresh (blocks, tau_p, L, m) array
-        filled by fill_pilot_statistics. effective_estimates may overwrite w."""
-        w = np.empty((blocks, self.tau_p, self.L, self.m), dtype=complex)
-        self.fill_pilot_statistics(rng, w)
-        return w
-
-    def fill_pilot_statistics(self, rng, w):
-        """Fill the caller's complex (blocks, tau_p, L, m) array w with white draws w ~ CN(0, I).
+        """White draws w ~ CN(0, I), independent across (block, pilot, AP), in a fresh (blocks, tau_p, L, m) array.
 
         One standard_normal call fills w viewed as floats: real and imaginary parts interleaved, block-major,
-        so any split of the blocks into chunks draws the same values. numpy releases the GIL while it draws,
-        so another thread can fill the next chunk while the caller evaluates this one.
+        so any split of the blocks into chunks draws the same values. effective_estimates may overwrite w.
         """
+        w = np.empty((blocks, self.tau_p, self.L, self.m), dtype=complex)
         rng.standard_normal(out=w.view(float))
         w *= np.sqrt(0.5)
+        return w
 
     def effective_estimates(self, w):
         """ghat[b, l, :, k] = T_kl w[b, t(k), l]; shape (blocks, L, m, K).

@@ -11,7 +11,6 @@ which makes the output independent of the worker count.
 import csv
 import numbers
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -50,7 +49,7 @@ _TAG_BLOCKS = 2
 _TAG_PHASES = 3
 _TAG_FRONT = 4
 
-_BLOCK_CHUNK = 16   # blocks per kernel chunk, two alive while the next is drawn: it bounds memory only, since
+_BLOCK_CHUNK = 16   # blocks per kernel chunk, one alive at a time: it bounds memory only, since
                     # every chunk continues one block stream and the sum over blocks runs in block order
 
 
@@ -127,9 +126,7 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
     over them): (P y)_i = (C^-1 sqrt(eta) ghat_i)^H u with u = W y = C^H v, so
     non-partner i's power is |(P y)_i|^2, and u is formed only for u^H D u, D
     = C^-1 Delta C^-H. A lone group on every AP (K <= tau_p, or L = 1) writes W over the
-    estimates' memory, any other group into one fresh array. This thread draws the first chunk of blocks;
-    a helper thread draws chunk i + 1 while this thread evaluates chunk i, and is joined before the call returns
-    or raises.
+    estimates' memory, any other group into one fresh array. Each chunk of blocks is drawn, then evaluated.
     """
     if n_blocks is None:
         n_blocks = cfg.mc_channel_realizations
@@ -155,45 +152,11 @@ def block_batched_se(stats, assoc, cfg, rng, combiner="pmmse", n_blocks=None):
                      c_inv, delta_w, members))
 
     sum_log = np.zeros(K)
-    sizes = [min(_BLOCK_CHUNK, n_blocks - start) for start in range(0, n_blocks, _BLOCK_CHUNK)]
-    w = stats.sample_pilot_statistics(rng, sizes[0])   # nothing to overlap the first chunk's draw with
-    for b in sizes[1:]:
-        # chunk i + 1 is filled after chunk i's fill was joined, so the chunks continue one block stream
-        draw = _ChunkDraw(stats, rng, b)
-        try:
-            _add_chunk_log_sinr(sum_log, stats, plan, w)
-        finally:
-            draw.join()
-        w = draw.result()   # drops chunk i, so at most two chunks are alive
-    _add_chunk_log_sinr(sum_log, stats, plan, w)
+    for start in range(0, n_blocks, _BLOCK_CHUNK):
+        # each chunk continues the one block stream; its draws are passed on, not kept, so one chunk is alive at a time
+        b = min(_BLOCK_CHUNK, n_blocks - start)
+        _add_chunk_log_sinr(sum_log, stats, plan, stats.sample_pilot_statistics(rng, b))
     return (cfg.tau_c - cfg.tau_p) / cfg.tau_c * sum_log / n_blocks
-
-
-class _ChunkDraw(threading.Thread):
-    """A helper thread that fills a chunk of b blocks with the block stream's pilot draws.
-
-    The calling thread allocates the chunk, so once freed it returns to that
-    thread's malloc arena. The helper does no BLAS; result() joins it and
-    re-raises on the calling thread what the fill raised.
-    """
-
-    def __init__(self, stats, rng, b):
-        super().__init__(name="cfris-pilot-draw")
-        self.w = np.empty((b, stats.tau_p, stats.L, stats.m), complex)
-        self._fill, self._rng, self._error = stats.fill_pilot_statistics, rng, None
-        self.start()
-
-    def run(self):
-        try:
-            self._fill(self._rng, self.w)
-        except Exception as error:
-            self._error = error
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self.w
 
 
 def _add_chunk_log_sinr(sum_log, stats, plan, w):
@@ -343,7 +306,7 @@ def load_report(out_dir):
     finite and non-negative, or a cell off the grid raises CfrisError naming its line and scenario;
     unless each scenario's (realization, ue) cells cover the grid exactly
     once, CfrisError names the scenario and the first missing or repeated
-    cell.
+    cell. A file without a sample row raises CfrisError naming the file.
     """
     config = load_config(os.path.join(out_dir, "manifest.txt"))
     setups, ues = config.mc_setups, config.K
@@ -365,6 +328,8 @@ def load_report(out_dir):
                 raise CfrisError(f"{data_path}: row {reader.line_num}, scenario {name}: realization {entry[0]}, "
                                  f"ue {entry[1]} lies off the manifest's {setups} x {ues} grid")
             rows.setdefault(name, []).append(entry)
+    if not rows:   # an empty or header-only file, as a truncated output directory leaves
+        raise CfrisError(f"{data_path}: no samples")
     se = {}
     for name, entries in rows.items():
         setup, ue, value = zip(*entries)

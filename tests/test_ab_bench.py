@@ -1,5 +1,7 @@
-"""The claim rule of tools/ab_bench.py: quartiles and the verdict, without git or perfbench."""
+"""The claim rule of tools/ab_bench.py (quartiles and the verdict) and its BENCH_<workload>.json entries, without
+git or perfbench."""
 
+import json
 import os
 import sys
 
@@ -52,3 +54,35 @@ def test_worse_only_beyond_the_bound(higher):
 
     assert at(2.6) == "worse"        # 26 % of the base median
     assert at(2.4) == "unresolved"   # 24 %
+
+
+def _run(t1, t2):
+    metrics = {"drops_per_s.t1": t1, "drops_per_s.t2": t2, "peak_rss_mb": 70.0, "setup_s": 0.5}
+    return {"metrics": {name: {"value": value} for name, value in metrics.items()}, "blas": "OPENBLAS_NUM_THREADS=1"}
+
+
+ENTRY_KEYS = {"revision", "commit", "dirty", "date", "python", "numpy", "nproc", "blas", "pairs", "seconds", "seeds",
+              "metrics", "t2_over_t1", "drop_peak_mib", "se_samples_sha256"}
+
+
+def test_bench_entries_are_appended_and_earlier_ones_kept(tmp_path):
+    metrics = [{"name": name} for name in ("drops_per_s.t1", "drops_per_s.t2", "peak_rss_mb", "setup_s")]
+    args = ab_bench.parse_args(["HEAD", "--workload", "dense", "--pairs", "3", "--seconds", "5"])
+    facts = {"drop_peak_bytes": 3 * 2**20, "se_samples_sha256": "ab" * 32, "numpy": "2.0.0"}
+    runs = [_run(4.0, 6.0), _run(5.0, 8.0), _run(6.0, 10.2)]   # .t2/.t1 1.5, 1.6, 1.7
+    base = ab_bench.side_entry("HEAD~1", "c" * 40, False, args, metrics, runs, facts)
+    assert set(base) == ENTRY_KEYS
+    assert base["metrics"]["drops_per_s.t1"] == {"q1": 4.5, "median": 5.0, "q3": 5.5}
+    assert set(base["metrics"]) == {m["name"] for m in metrics}
+    assert base["t2_over_t1"] == 1.6 and base["drop_peak_mib"] == 3.0 and base["pairs"] == 3
+    assert (base["seconds"], base["seeds"]) == (5.0, [1, 2, 3, 4])
+
+    path = tmp_path / "BENCH_dense.json"
+    path.write_text('[{"revision": "earlier", "kept": [1.0, 2.5]}]\n')
+    new = ab_bench.side_entry("working tree", "d" * 40, True, args, metrics, runs[:1], facts)
+    ab_bench.append_entries(str(path), [base, new])
+    ab_bench.append_entries(str(path), [new])
+    entries = json.loads(path.read_text())
+    assert entries == [{"revision": "earlier", "kept": [1.0, 2.5]}, base, new, new]
+    ab_bench.append_entries(str(tmp_path / "BENCH_longterm.json"), [base])   # a missing file is created
+    assert json.loads((tmp_path / "BENCH_longterm.json").read_text()) == [base]
