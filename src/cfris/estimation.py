@@ -9,6 +9,8 @@ import numpy as np
 
 from .linalg import psd_sqrt, tril_inv
 
+_BANK_BLOCK_BYTES = 2 << 20   # bytes of one (K, APs, m, m) stack of a bank block (at least one AP): memory only
+
 
 def effective_front(H_l, psi_l):
     """E_l = H_l diag(psi_l) without forming the diagonal matrix.
@@ -73,6 +75,10 @@ class EffectiveStats:
 
     R is a (K, L, n, n) array or a network.LatticeCorrelation, read AP by
     AP: Q[:, l] is effective_covariance of R[:, l] and E_l (or no front).
+    The bank is built over blocks of consecutive APs, each block's (K, APs,
+    m, m) stacks within _BANK_BLOCK_BYTES, and each block makes the
+    per-matrix calls the whole bank would: the block size bounds memory
+    only, and T and F do not depend on it.
     """
 
     def __init__(self, R, fronts, pilot_of, cfg):
@@ -83,44 +89,59 @@ class EffectiveStats:
         self.pilot_of = np.asarray(pilot_of)
         # pilots in UE order (K <= tau_p) make the gather t(k) a slice
         self._pilots = slice(K) if np.array_equal(self.pilot_of, np.arange(K)) else self.pilot_of
-
-        Q = np.empty((K, L, m, m), dtype=complex)
-        for l in range(L):
-            Q[:, l] = effective_covariance(R[:, l], None if fronts is None else fronts[l])
-
         onehot = (np.arange(cfg.tau_p)[:, None] == self.pilot_of[None, :]).astype(float)  # (tau_p, K)
-        gram = np.tensordot(tpp * onehot, Q, axes=1)
-        gram += cfg.noise_power_w * np.eye(m)
-        # Each (K, L, m, m) stack is dropped once used and the later steps work in place, so a
-        # bank holds at most three at a time, four with co-pilots (a test pins five at toy size).
-        factor = np.linalg.cholesky(gram)
-        del gram
-        linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, L, m, m)
-        del factor
-        np.conj(linv, out=linv)
-        q_lh = Q @ linv.swapaxes(-1, -2)
-        np.conj(linv, out=linv)
-        # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
-        # G - tpp Q_kl is summed from the other co-pilot UEs, never
-        # subtracted: at high pilot SNR Q_kl dominates G and the difference
-        # cancels. Without co-pilots rest = sigma^2 I, and L^-1 rest is L^-1
-        # scaled, bit for bit.
         copilot = onehot.T @ onehot - np.eye(K)
-        if copilot.any():
-            rest = np.tensordot(tpp * copilot, Q, axes=1)
-            del Q
-            rest += cfg.noise_power_w * np.eye(m)
-            linv = linv @ rest
-            del rest
-        else:
-            del Q
-            linv *= cfg.noise_power_w
-        f = q_lh @ linv
-        del linv
-        f += f.conj().swapaxes(-1, -2)
-        f *= 0.5
-        q_lh *= np.sqrt(tpp)
-        self.F, self.T = f, q_lh
+
+        # A block's stacks are dropped once used and the later steps work in place. A bank of several
+        # blocks allocates T and F first, so that each block's stacks reuse the heap memory of the block
+        # before: it holds T, F and about three blocks (a test pins 2.6 (K, L, m, m) stacks at one or two
+        # APs per block). A bank of one block allocates each at its first product, so that it holds at
+        # most three stacks at a time, four with co-pilots (a test pins five at toy size).
+        step = max(1, _BANK_BLOCK_BYTES // (K * m * m * 16))
+        shape = (K, L, m, m)
+        T = F = None
+        if step < L:
+            T, F = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for start in range(0, L, step):
+            aps = slice(start, min(start + step, L))
+            q = np.empty((K, aps.stop - start, m, m), dtype=complex)
+            for j, l in enumerate(range(start, aps.stop)):
+                q[:, j] = effective_covariance(R[:, l], None if fronts is None else fronts[l])
+            gram = np.tensordot(tpp * onehot, q, axes=1)
+            gram += cfg.noise_power_w * np.eye(m)
+            factor = np.linalg.cholesky(gram)
+            del gram
+            linv = tril_inv(factor)[self._pilots]   # L_{t(k),l}^-1, (K, APs, m, m)
+            del factor
+            if T is None:
+                T = np.empty(shape, dtype=complex)
+            t = T[:, aps]
+            np.conj(linv, out=linv)
+            np.matmul(q, linv.swapaxes(-1, -2), out=t)
+            np.conj(linv, out=linv)
+            # Effective error covariance F_kl = (Q L^-H)(L^-1 rest), where rest =
+            # G - tpp Q_kl is summed from the other co-pilot UEs, never
+            # subtracted: at high pilot SNR Q_kl dominates G and the difference
+            # cancels. Without co-pilots rest = sigma^2 I, and L^-1 rest is L^-1
+            # scaled, bit for bit.
+            if copilot.any():
+                rest = np.tensordot(tpp * copilot, q, axes=1)
+                del q
+                rest += cfg.noise_power_w * np.eye(m)
+                linv = linv @ rest
+                del rest
+            else:
+                del q
+                linv *= cfg.noise_power_w
+            if F is None:
+                F = np.empty(shape, dtype=complex)
+            f = F[:, aps]
+            np.matmul(t, linv, out=f)
+            del linv
+            f += np.conj(f.swapaxes(-1, -2), order="C")   # a C-ordered F^H: the add buffers one block less
+            f *= 0.5
+            t *= np.sqrt(tpp)
+        self.F, self.T = F, T
 
     def sample_pilot_statistics(self, rng, blocks):
         """White draws w ~ CN(0, I), independent across (block, pilot, AP), in a fresh (blocks, tau_p, L, m) array.

@@ -62,7 +62,13 @@ def constrained_power_iteration(A):
     Exits early once the relative objective gain drops below
     RELATIVE_GAIN_EXIT. For PSD A the objective never falls, and psi^H A psi = 0 implies A psi = 0, so
     A psi can vanish only at the all-ones start: psi maps to all ones again and the gain exit returns it.
+    A is first scaled by the power of two that puts its largest diagonal entry, and so for PSD A its
+    largest entry, in [0.5, 1): the phases do not change under positive scaling, and the scaling is
+    exact for normal floats, while a subnormal A psi would overflow in w / |w|. np.ldexp scales by
+    2^1074 where a factor 2.0**1074 would overflow.
     """
+    A = np.ascontiguousarray(A, dtype=complex)
+    A = np.ldexp(A.view(float), -np.frexp(np.abs(A.diagonal()).max())[1]).view(complex)
     n = A.shape[0]
     psi = np.ones(n, dtype=complex)
     obj = quadratic_objective(psi, A)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cfris import estimation
 from cfris.association import assign_pilots_and_clusters
 from cfris.config import SimConfig
 from cfris.estimation import (
@@ -321,11 +322,34 @@ class TestEffectiveStats:
         assert stats.m == 16
         assert peak <= 5 * K * L * 16**2 * 16
 
+    @pytest.mark.parametrize("L, K, tau_p", [(12, 4, 4), (12, 6, 3)])
+    @pytest.mark.parametrize("aps", [1, 2])
+    def test_blocked_bank_holds_t_f_and_a_few_blocks(self, monkeypatch, L, K, tau_p, aps):
+        # with one or two of 12 APs per block, the bank holds T and F beside one block's Q, Gram and
+        # factor: the traced peak stays at 2.6 (K, L, m, m) stacks with and without co-pilots, where a
+        # bank of one block holds 3.7 and 4
+        cfg = SimConfig(L=L, K=K, M=2, N=16, tau_p=tau_p, ris_rows=4, ris_cols=4)
+        real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0))
+        pilot_of = assign_pilots_and_clusters(real, cfg).pilot_of
+        R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
+        monkeypatch.setattr(estimation, "_BANK_BLOCK_BYTES", aps * K * 16**2 * 16)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            EffectiveStats(R, None, pilot_of, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * K * L * 16**2 * 16
+
     @pytest.mark.parametrize("K, tau_p, with_fronts", [(6, 3, True), (4, 4, True), (6, 3, False)],
                              ids=["copilots", "own-pilots", "no-front"])
-    def test_lattice_bank_is_the_gathered_bank(self, K, tau_p, with_fronts):
+    @pytest.mark.parametrize("aps", [1, 2, 5])
+    def test_lattice_bank_is_the_gathered_bank(self, monkeypatch, K, tau_p, with_fronts, aps):
         # a lattice stack is gathered AP by AP into the same products as the gathered (K, L, n, n)
-        # array, so T and F agree bit for bit, with and without co-pilot UEs and without fronts
+        # array, and a block of APs makes the per-matrix calls of the whole bank, so T and F agree bit
+        # for bit with the gathered bank of one block at 1, 2 (the last block shorter) and 5 APs per
+        # block, with and without co-pilot UEs and without fronts
         cfg = SimConfig(L=5, K=K, M=2, N=9, tau_p=tau_p, ris_rows=3, ris_cols=3)
         real = generate_realization(cfg, _rng(cfg.seed, _TAG_NETWORK, 0))
         pilot_of = assign_pilots_and_clusters(real, cfg).pilot_of
@@ -333,8 +357,11 @@ class TestEffectiveStats:
         R = spatial_correlation_matrices(real, cfg, ris_grid_positions(cfg))
         phases = np.exp(2j * np.pi * np.random.default_rng(22).uniform(size=(cfg.L, cfg.N)))
         fronts = effective_front(front_channels(cfg), phases) if with_fronts else None
-        lattice = EffectiveStats(R, fronts, pilot_of, cfg)
         gathered = EffectiveStats(R[:, :], fronts, pilot_of, cfg)
+        m = gathered.m
+        assert K * cfg.L * m * m * 16 <= estimation._BANK_BLOCK_BYTES
+        monkeypatch.setattr(estimation, "_BANK_BLOCK_BYTES", aps * K * m * m * 16)
+        lattice = EffectiveStats(R, fronts, pilot_of, cfg)
         assert np.array_equal(lattice.T, gathered.T)
         assert np.array_equal(lattice.F, gathered.F)
 

@@ -104,6 +104,19 @@ class TestPowerIteration:
         assert np.allclose(np.abs(psi), 1.0, atol=1e-12)
         assert np.array_equal(psi[3:], np.ones(2, dtype=complex))
 
+    def test_power_of_two_scaling_leaves_the_phases(self):
+        # phases are invariant to positive scaling: A 2^k for k = -1000, 0, 1000 gives A's phases bit for
+        # bit, and at 2^-1070, where A's entries are subnormal and an unscaled w / |w| overflows, they stay finite
+        a = random_psd(np.random.default_rng(11), 36)
+        psi = constrained_power_iteration(a)
+        for k in (-1000, 0, 1000):
+            assert np.array_equal(constrained_power_iteration(np.ldexp(a.view(float), k).view(complex)), psi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tiny = constrained_power_iteration(np.ldexp(a.view(float), -1070).view(complex))
+        assert np.all(np.isfinite(tiny))
+        assert np.allclose(np.abs(tiny), 1.0, atol=1e-12)
+
     def test_rank_one_analytic_optimum(self):
         # A = conj(a) a^T: the optimum is psi_n = exp(-j arg a_n) up to a
         # global phase, with value (sum |a_n|)^2
